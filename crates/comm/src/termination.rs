@@ -33,7 +33,7 @@ enum TermMsg {
 }
 
 /// What a completed detector wave decided, as surfaced by
-/// [`Quiescence::poll_cut_watched`].
+/// [`Quiescence::poll_cut`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CutVerdict {
     /// A non-terminal consistent cut confirmed (global flag AND was false);
@@ -107,7 +107,7 @@ impl Quiescence {
     /// globally stable world whose send and receive totals disagree — every
     /// rank idle, nothing moving, yet messages in flight that are never
     /// delivered — the root broadcasts an abort verdict and every rank's
-    /// [`Quiescence::poll_cut_watched`] returns [`CutVerdict::Abort`] on
+    /// [`Quiescence::poll_cut`] returns [`CutVerdict::Abort`] on
     /// the same wave. That signature cannot occur at a true quiescent point
     /// and is exactly what a hard receive stall (a dead NIC, a wedged peer)
     /// looks like; transient faults reset the count as soon as a delivery
@@ -139,7 +139,7 @@ impl Quiescence {
     /// counters; `idle` must only be true when this rank has no queued work
     /// and no un-flushed outgoing buffers.
     pub fn poll(&mut self, sent: u64, recv: u64, idle: bool) -> bool {
-        matches!(self.poll_cut(sent, recv, idle, true), Some(true))
+        self.poll_cut(sent, recv, idle, true) == Some(CutVerdict::Terminate)
     }
 
     /// Generalized, reusable quiescence: confirm a *consistent cut* — an
@@ -147,40 +147,21 @@ impl Quiescence {
     /// detector. All ranks contribute `ready` (counted into `stable` exactly
     /// like `idle` in [`Quiescence::poll`]) and a user `flag`; when a wave
     /// confirms global readiness with `sent == recv`, `poll_cut` returns
-    /// `Some(g)` on every rank, where `g` is the AND of all flags at the
-    /// cut. A `Some(true)` cut is terminal (sticky, like `poll`); after a
-    /// `Some(false)` cut the detector resets and can confirm further cuts.
+    /// the same verdict on every rank: [`CutVerdict::Terminate`] (sticky,
+    /// like `poll`) if the AND of all flags at the cut is true, otherwise
+    /// [`CutVerdict::Cut`], after which the detector resets and can confirm
+    /// further cuts.
     ///
     /// Checkpointed traversals pass `flag = "no local work queued"`, so a
     /// cut with all ranks drained reads as termination while a cut forced by
     /// a checkpoint threshold reads as a checkpointable barrier with the
-    /// frontier parked in local heaps.
-    fn verdict(terminated: bool) -> CutVerdict {
-        if terminated {
-            CutVerdict::Terminate
-        } else {
-            CutVerdict::Cut
-        }
-    }
-
-    pub fn poll_cut(&mut self, sent: u64, recv: u64, ready: bool, flag: bool) -> Option<bool> {
-        match self.poll_cut_watched(sent, recv, ready, flag) {
-            None => None,
-            Some(CutVerdict::Cut) => Some(false),
-            Some(CutVerdict::Terminate) => Some(true),
-            Some(CutVerdict::Abort) => panic!(
-                "stall watchdog fired but the caller polls through poll_cut; \
-                 armed detectors must be driven via poll_cut_watched"
-            ),
-        }
-    }
-
-    /// Like [`Quiescence::poll_cut`], but also surfaces the stall
-    /// watchdog's verdict (see [`Quiescence::arm_watchdog`]). Returns
-    /// `Some(CutVerdict::Abort)` — sticky, world-agreed — when the armed
-    /// watchdog fires; with no watchdog armed it behaves exactly like
-    /// `poll_cut` with `Cut`/`Terminate` standing in for `false`/`true`.
-    pub fn poll_cut_watched(
+    /// frontier parked in local heaps; level-synchronous engines pass
+    /// `flag = false` and use every cut as a round barrier.
+    ///
+    /// With the stall watchdog armed (see [`Quiescence::arm_watchdog`]) a
+    /// wave can instead end in [`CutVerdict::Abort`] — sticky and
+    /// world-agreed; it is never returned by an unarmed detector.
+    pub fn poll_cut(
         &mut self,
         sent: u64,
         recv: u64,
@@ -219,7 +200,7 @@ impl Quiescence {
                         return Some(CutVerdict::Abort);
                     }
                     if terminate {
-                        return Some(Self::verdict(self.finish_cut(flag)));
+                        return Some(self.finish_cut(flag));
                     }
                     self.reset_wave();
                 }
@@ -269,7 +250,7 @@ impl Quiescence {
                         return Some(CutVerdict::Abort);
                     }
                     if terminate {
-                        return Some(Self::verdict(self.finish_cut(tot_flag)));
+                        return Some(self.finish_cut(tot_flag));
                     }
                     self.reset_wave();
                 }
@@ -281,15 +262,16 @@ impl Quiescence {
     /// A wave just confirmed a cut with global flag AND `flag`: stick if
     /// terminal, otherwise rearm for the next cut. Clearing `prev_contrib`
     /// forces a full two-wave stability check before the next cut can fire.
-    fn finish_cut(&mut self, flag: bool) -> bool {
+    fn finish_cut(&mut self, flag: bool) -> CutVerdict {
         if flag {
             self.terminated = true;
+            CutVerdict::Terminate
         } else {
             self.cuts_fired += 1;
             self.prev_contrib = None;
             self.reset_wave();
+            CutVerdict::Cut
         }
-        flag
     }
 
     /// Number of completed (non-terminating) waves — a measure of how often
@@ -447,8 +429,8 @@ mod tests {
                     let mut polls = 0u64;
                     loop {
                         match q.poll_cut(7, 7, true, false) {
-                            Some(false) => break,
-                            Some(true) => panic!("flag=false cut must not terminate"),
+                            Some(CutVerdict::Cut) => break,
+                            Some(v) => panic!("flag=false cut produced {v:?}"),
                             None => {
                                 polls += 1;
                                 if polls.is_multiple_of(64) {
@@ -461,7 +443,7 @@ mod tests {
                     assert_eq!(q.cuts_fired(), cut + 1);
                 }
                 let mut polls = 0u64;
-                while q.poll_cut(7, 7, true, true) != Some(true) {
+                while q.poll_cut(7, 7, true, true) != Some(CutVerdict::Terminate) {
                     polls += 1;
                     if polls.is_multiple_of(64) {
                         std::thread::yield_now();
@@ -469,7 +451,7 @@ mod tests {
                     assert!(polls < 1_000_000, "terminal cut too slow (p={p})");
                 }
                 // terminal cuts are sticky
-                assert_eq!(q.poll_cut(7, 7, true, false), Some(true));
+                assert_eq!(q.poll_cut(7, 7, true, false), Some(CutVerdict::Terminate));
                 assert!(q.poll(7, 7, true));
             });
         }
@@ -511,7 +493,7 @@ mod tests {
                 let (sent, recv) = if ctx.rank() == 0 { (1, 0) } else { (0, 0) };
                 let mut polls = 0u64;
                 loop {
-                    match q.poll_cut_watched(sent, recv, true, false) {
+                    match q.poll_cut(sent, recv, true, false) {
                         Some(CutVerdict::Abort) => break,
                         Some(v) => panic!("imbalanced world produced {v:?} (p={p})"),
                         None => {
@@ -524,7 +506,7 @@ mod tests {
                     }
                 }
                 // aborts are sticky
-                assert_eq!(q.poll_cut_watched(sent, recv, true, false), Some(CutVerdict::Abort));
+                assert_eq!(q.poll_cut(sent, recv, true, false), Some(CutVerdict::Abort));
             });
         }
     }
@@ -540,7 +522,7 @@ mod tests {
                 q.arm_watchdog(2);
                 let mut polls = 0u64;
                 loop {
-                    match q.poll_cut_watched(3, 3, true, true) {
+                    match q.poll_cut(3, 3, true, true) {
                         Some(CutVerdict::Terminate) => break,
                         Some(v) => panic!("clean world produced {v:?} (p={p})"),
                         None => {
@@ -567,7 +549,7 @@ mod tests {
             for cut in 0..3u64 {
                 let mut polls = 0u64;
                 loop {
-                    match q.poll_cut_watched(9, 9, true, false) {
+                    match q.poll_cut(9, 9, true, false) {
                         Some(CutVerdict::Cut) => break,
                         Some(v) => panic!("non-terminal cut produced {v:?}"),
                         None => {

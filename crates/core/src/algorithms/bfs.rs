@@ -228,17 +228,14 @@ pub fn bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsConfig) -> B
     if g.is_master(source) {
         q.push(BfsVisitor { vertex: source, length: 0, parent: source.0 });
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.traverse(ctx, cfg.checkpoint.as_ref());
     finish_result(ctx, g, q)
 }
 
 /// Aggregate a finished BFS-shaped traversal (any visitor whose per-vertex
 /// state is [`BfsData`]) into a [`BfsResult`]: master-only visited /
-/// traversed-edge / deepest-level reductions plus the storage-layer stat
-/// fold. Shared by the asynchronous visitor path and the direction engine.
+/// traversed-edge / deepest-level reductions. Shared by the asynchronous
+/// visitor path and the direction engine.
 pub(crate) fn finish_result<V>(ctx: &RankCtx, g: &DistGraph, q: VisitorQueue<V>) -> BfsResult
 where
     V: Visitor<Data = BfsData> + WireCodec,
@@ -261,25 +258,7 @@ where
     let visited_count = ctx.all_reduce_sum(visited);
     let traversed_edges = ctx.all_reduce_sum(traversed);
     let max_level = ctx.all_reduce_max(deepest);
-    let mut stats = q.stats();
-    // Fold in this rank's storage-layer stalls and queue pressure
-    // (semi-external storage only; all zeros for in-memory CSR).
-    if let Some(cs) = g.csr().cache_stats() {
-        stats.io_stall = cs.io_stall();
-        stats.evict_stall = cs.evict_stall();
-        stats.page_checksum_failures = cs.page_checksum_failures;
-        stats.page_reread_retries = cs.page_reread_retries;
-    }
-    if let Some(io) = g.csr().io_stats() {
-        stats.io_avg_queue_depth = io.avg_queue_depth();
-        stats.io_queue_peak = io.peak_outstanding;
-    }
-    if let Some(snap) = g.csr().storage_snapshot() {
-        stats.adj_decodes = snap.adj_decodes;
-        stats.adj_decoded_bytes = snap.adj_decoded_bytes;
-        stats.edge_bytes_encoded = snap.encoded_bytes;
-        stats.edge_bytes_raw = snap.raw_bytes;
-    }
+    let stats = q.stats();
     let transport = q.transport_stats();
     BfsResult {
         visited_count,

@@ -135,10 +135,7 @@ pub fn connected_components(ctx: &RankCtx, g: &DistGraph, cfg: &CcConfig) -> CcR
             q.push(CcVisitor { vertex: v, label: v.0 });
         }
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.traverse(ctx, cfg.checkpoint.as_ref());
 
     // roots are vertices labeled with their own id
     let local_roots = g

@@ -187,10 +187,7 @@ pub fn kcore(ctx: &RankCtx, g: &DistGraph, k: u64, cfg: &KCoreConfig) -> KCoreRe
             q.push(KCoreVisitor { vertex: v, k });
         }
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.traverse(ctx, cfg.checkpoint.as_ref());
 
     let local_alive =
         g.local_vertices().filter(|&v| g.is_master(v) && q.state()[g.local_index(v)].alive).count()
@@ -245,10 +242,7 @@ pub fn kcore_decomposition(ctx: &RankCtx, g: &DistGraph, cfg: &KCoreConfig) -> K
                 q.push(KCoreVisitor { vertex: v, k });
             }
         }
-        match &cfg.checkpoint {
-            Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-            None => q.do_traversal(),
-        }
+        q.traverse(ctx, cfg.checkpoint.as_ref());
         let stats = q.stats();
         elapsed += stats.elapsed;
         visitors_executed += stats.visitors_executed;

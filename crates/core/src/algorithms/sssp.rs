@@ -182,10 +182,7 @@ pub fn sssp(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &SsspConfig) ->
             max_weight: cfg.max_weight,
         });
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.traverse(ctx, cfg.checkpoint.as_ref());
 
     let mut visited = 0u64;
     let mut far = 0u64;

@@ -190,10 +190,7 @@ pub fn triangle_count(ctx: &RankCtx, g: &DistGraph, cfg: &TriangleConfig) -> Tri
             q.push(TriangleVisitor { vertex: v, second: NONE, third: NONE });
         }
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.traverse(ctx, cfg.checkpoint.as_ref());
 
     // local counters live on whichever partition held the closing edge —
     // masters and replicas alike — so sum every local slot (Alg. 7 line 14)
@@ -325,10 +322,7 @@ pub fn triangle_count_subset(
             });
         }
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.traverse(ctx, cfg.checkpoint.as_ref());
     let local: u64 = q.state().iter().map(|d| d.num_triangles).sum();
     let triangles = ctx.all_reduce_sum(local);
     let stats = q.stats();

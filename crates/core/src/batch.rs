@@ -486,48 +486,83 @@ pub fn bfs_batch<const K: usize>(
             });
         }
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.traverse(ctx, cfg.checkpoint.as_ref());
 
-    // per-query aggregates over masters only (replica state is a copy)
-    let mut visited = vec![0u64; sources.len()];
-    let mut traversed = vec![0u64; sources.len()];
-    let mut deepest = vec![0u64; sources.len()];
-    for v in g.local_vertices() {
-        if !g.is_master(v) {
-            continue;
-        }
-        let d = &q.state()[g.local_index(v)];
-        let deg = g.total_degree(v);
-        for qi in 0..sources.len() {
-            if d.length[qi] != UNREACHED {
-                visited[qi] += 1;
-                traversed[qi] += deg;
-                deepest[qi] = deepest[qi].max(d.length[qi]);
-            }
-        }
-    }
-    let per_query = (0..sources.len())
-        .map(|qi| QueryAggregates {
-            visited_count: ctx.all_reduce_sum(visited[qi]),
-            traversed_edges: ctx.all_reduce_sum(traversed[qi]),
-            max_level: ctx.all_reduce_max(deepest[qi]),
-        })
-        .collect();
-
+    let ledger = ledger.snapshot();
+    let per_query =
+        reduce_per_query::<K, false>(ctx, g, q.state(), sources.len(), &ledger).aggregates;
     let stats = q.stats();
     let state = q.into_state();
     let local_state =
         (0..sources.len()).map(|qi| state.iter().map(|d| d.query(qi)).collect()).collect();
-    BatchBfsResult {
-        per_query,
-        local_state,
-        elapsed: stats.elapsed,
-        stats,
-        ledger: ledger.snapshot(),
+    BatchBfsResult { per_query, local_state, elapsed: stats.elapsed, stats, ledger }
+}
+
+/// Per-query results of a batched BFS that every rank agrees on.
+pub(crate) struct QueryTotals {
+    pub aggregates: Vec<QueryAggregates>,
+    /// Order-invariant digest of each query's levels: sum over reached
+    /// masters of `mix(vertex ^ mix(level))` (zeros unless `DIGEST`).
+    pub digest: Vec<u64>,
+    /// World sums of the per-query ledger counters.
+    pub executed: Vec<u64>,
+    pub pushed: Vec<u64>,
+}
+
+/// SplitMix64 finalizer: the digest mixer (order-invariant under
+/// wrapping-sum aggregation because each term is mixed independently).
+#[inline]
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Fold the first `width` query slots of `state` over masters only
+/// (replica state is a copy) and all-reduce them with `ledger`'s per-query
+/// counters: one vector sum and one vector max, whatever the width.
+pub(crate) fn reduce_per_query<const K: usize, const DIGEST: bool>(
+    ctx: &RankCtx,
+    g: &DistGraph,
+    state: &[BatchBfsData<K>],
+    width: usize,
+    ledger: &BatchLedger,
+) -> QueryTotals {
+    // sums: visited | traversed | digest | executed | pushed, `width` each
+    let mut sums = vec![0u64; 5 * width];
+    let mut deepest = vec![0u64; width];
+    for v in g.local_vertices().filter(|&v| g.is_master(v)) {
+        let d = &state[g.local_index(v)];
+        let deg = g.total_degree(v);
+        for qi in (0..width).filter(|&qi| d.length[qi] != UNREACHED) {
+            sums[qi] += 1;
+            sums[width + qi] += deg;
+            if DIGEST {
+                sums[2 * width + qi] =
+                    sums[2 * width + qi].wrapping_add(mix(v.0 ^ mix(d.length[qi])));
+            }
+            deepest[qi] = deepest[qi].max(d.length[qi]);
+        }
     }
+    sums[3 * width..4 * width].copy_from_slice(&ledger.executed[..width]);
+    sums[4 * width..].copy_from_slice(&ledger.pushed[..width]);
+    let zip_with = |f: fn(u64, u64) -> u64| {
+        move |mut a: Vec<u64>, b: Vec<u64>| {
+            a.iter_mut().zip(b).for_each(|(x, y)| *x = f(*x, y));
+            a
+        }
+    };
+    let sums = ctx.all_reduce(sums, zip_with(u64::wrapping_add));
+    let deepest = ctx.all_reduce(deepest, zip_with(u64::max));
+    let column = |c: usize| sums[c * width..(c + 1) * width].to_vec();
+    let aggregates = (0..width)
+        .map(|qi| QueryAggregates {
+            visited_count: sums[qi],
+            traversed_edges: sums[width + qi],
+            max_level: deepest[qi],
+        })
+        .collect();
+    QueryTotals { aggregates, digest: column(2), executed: column(3), pushed: column(4) }
 }
 
 // --- batched reachability -------------------------------------------------
@@ -657,10 +692,7 @@ pub fn reach_batch(
             q.push(BatchReachVisitor { vertex: s, mask: 1u64 << qi });
         }
     }
-    match &cfg.checkpoint {
-        Some(spec) => q.do_traversal_checkpointed(ctx, spec),
-        None => q.do_traversal(),
-    }
+    q.traverse(ctx, cfg.checkpoint.as_ref());
 
     let mut counts = vec![0u64; sources.len()];
     for v in g.local_vertices() {

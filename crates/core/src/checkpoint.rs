@@ -82,8 +82,8 @@ impl CheckpointSpec {
         self
     }
 
-    /// Build one rank's checkpoint log as configured.
-    pub fn build_store(&self) -> CheckpointStore {
+    /// Open one rank's checkpoint log as configured, at epoch 0.
+    pub(crate) fn open_log(&self) -> CheckpointLog {
         let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new());
         let cache = Arc::new(PageCache::new(
             dev,
@@ -94,8 +94,17 @@ impl CheckpointSpec {
                 ..PageCacheConfig::default()
             },
         ));
-        CheckpointStore::new(cache)
+        CheckpointLog { store: CheckpointStore::new(cache), epoch: 0, incarnation: 0 }
     }
+}
+
+/// One rank's checkpoint store and its position in the epoch/incarnation
+/// protocol (see `VisitorQueue::checkpoint`): the next epoch to write, and
+/// how many world rewinds this run has been through.
+pub(crate) struct CheckpointLog {
+    pub store: CheckpointStore,
+    pub epoch: u64,
+    pub incarnation: u64,
 }
 
 /// Why a state blob failed to decode.

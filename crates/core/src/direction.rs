@@ -18,7 +18,8 @@
 //!   `(vertex, level+1, parent)` pushed through the ordinary CRC-framed
 //!   mailbox, so ghost filtering, split-vertex replica chains and the
 //!   integrity plane are inherited unchanged;
-//! - [`VisitorQueue::drain_round`] delivers a round to a non-terminal
+//! - [`VisitorQueue::drain_round`] — the queue's one driver with the park
+//!   executor and one-round cuts — delivers a round to a non-terminal
 //!   quiescence cut and parks the surviving visitors, which are exactly
 //!   the next frontier (master and replica copies both);
 //! - before a bottom-up level the master frontier bits cross the wire as
@@ -43,13 +44,13 @@
 
 use std::time::Instant;
 
-use havoq_comm::{FrontierPlane, RankCtx, SendShard, WireCodec};
+use havoq_comm::{FrontierPlane, RankCtx, WireCodec};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
 use havoq_util::parallel::{AtomicBitVec, PerWorker, WorkerPool};
 
 use crate::algorithms::bfs::{BfsConfig, BfsData, BfsResult, UNREACHED};
-use crate::queue::VisitorQueue;
+use crate::queue::{ShardPusher, VisitorQueue};
 use crate::visitor::{Role, Visitor, VisitorPush};
 
 /// Which engine (and direction policy) a BFS traversal uses.
@@ -100,11 +101,12 @@ impl Default for DirectionConfig {
     }
 }
 
-/// Expansion direction of one level.
+/// Expansion direction of one level. The discriminants are the codes a
+/// checkpointed [`LevelTrace`] stores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
-    Top,
-    Bottom,
+    Top = 0,
+    Bottom = 1,
 }
 
 impl Direction {
@@ -222,16 +224,8 @@ impl Visitor for DirBfsVisitor {
     }
 }
 
-/// Per-worker scratch for one parallel generation pass.
-#[derive(Default)]
-struct GenLedger {
-    shard: SendShard<DirBfsVisitor>,
-    inspected: u64,
-    pushed: u64,
-}
-
 /// Extra engine state serialized next to the queue snapshot at a
-/// checkpoint cut (see [`VisitorQueue::round_checkpoint`]): everything the
+/// checkpoint cut (see [`VisitorQueue::checkpoint`]): everything the
 /// level loop needs that is not derivable from the per-vertex state.
 struct EngineCut {
     level: u64,
@@ -247,26 +241,15 @@ impl EngineCut {
         let mut buf = Vec::with_capacity(8 * (6 + 6 * self.trace.len()));
         let mut put = |v: u64| buf.extend_from_slice(&v.to_le_bytes());
         put(self.level);
-        put(match self.dir {
-            Direction::Top => 0,
-            Direction::Bottom => 1,
-        });
+        put(self.dir as u64);
         put(self.edges_inspected);
         put(self.top_down_levels);
         put(self.bottom_up_levels);
         put(self.trace.len() as u64);
         for t in &self.trace {
-            for v in [
-                t.level,
-                match t.dir {
-                    Direction::Top => 0,
-                    Direction::Bottom => 1,
-                },
-                t.frontier,
-                t.frontier_edges,
-                t.inspected,
-                t.candidates,
-            ] {
+            for v in
+                [t.level, t.dir as u64, t.frontier, t.frontier_edges, t.inspected, t.candidates]
+            {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -317,14 +300,18 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
     let frontier = AtomicBitVec::new(nloc);
     let visited = AtomicBitVec::new(nloc);
     let global_frontier = AtomicBitVec::new(n as usize);
-    let pool = (cfg.traversal.threads > 1).then(|| WorkerPool::new(cfg.traversal.threads));
+    // workers stage candidates in per-worker sinks, with their share of
+    // the inspection count beside each
+    let mut pool = (cfg.traversal.threads > 1).then(|| {
+        let pool = WorkerPool::new(cfg.traversal.threads);
+        let sinks = PerWorker::new_with(pool.size(), |_| (ShardPusher::new(g), 0u64));
+        (pool, sinks)
+    });
 
     // checkpoint machinery (same epoch/incarnation protocol as the
-    // asynchronous checkpointed loop; cuts happen at round boundaries,
-    // which are already confirmed consistent cuts)
-    let mut store = cfg.checkpoint.as_ref().map(|spec| spec.build_store());
-    let mut epoch: u64 = 0;
-    let mut incarnation: u64 = 0;
+    // asynchronous checkpointed traversal; cuts happen at round
+    // boundaries, which are already confirmed consistent cuts)
+    let mut log = cfg.checkpoint.as_ref().map(|spec| (spec, spec.open_log()));
     // start "due" so epoch 0 — which crash injection spares — exists
     let mut processed_since: u64 = u64::MAX;
 
@@ -338,16 +325,14 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
     if g.is_master(source) {
         q.push(DirBfsVisitor { vertex: source, length: 0, parent: source.0 });
     }
-    let mut scratch: Vec<DirBfsVisitor> = Vec::new();
     let mut newly: Vec<DirBfsVisitor> = Vec::new();
-    q.drain_round(&mut scratch, &mut newly);
+    q.drain_round(&mut newly);
     fold_frontier(g, &frontier, &visited, &mut newly);
 
     loop {
         // -- checkpoint cut (round boundaries only; collective decision) --
-        if let (Some(spec), Some(store_ref)) = (cfg.checkpoint.as_ref(), store.as_mut()) {
-            let due = processed_since >= spec.every.max(1);
-            if due {
+        if let Some((spec, log)) = log.as_mut() {
+            if processed_since >= spec.every.max(1) {
                 let s = q.stats_mut();
                 let cut = EngineCut {
                     level,
@@ -357,10 +342,7 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
                     bottom_up_levels: s.bottom_up_levels,
                     trace: trace.clone(),
                 };
-                let extra = cut.encode();
-                if let Some(bytes) =
-                    q.round_checkpoint(ctx, spec, store_ref, &mut epoch, &mut incarnation, &extra)
-                {
+                if let Some(bytes) = q.checkpoint(ctx, spec, log, Some(&cut.encode())) {
                     // The whole world rewound: restore loop state from the
                     // epoch's extra bytes and rebuild the bitmaps from the
                     // restored per-vertex state.
@@ -452,19 +434,34 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
         }
 
         // -- generate next-level candidates --
-        let (loc_inspected, loc_pushed) = match &pool {
-            Some(pool) => generate_parallel(
-                &mut q,
-                g,
-                pool,
-                dir,
-                level,
-                &frontier,
-                &visited,
-                &global_frontier,
-            ),
-            None => generate_serial(&mut q, g, dir, level, &frontier, &visited, &global_frontier),
+        let bitmaps = (&frontier, &visited, &global_frontier);
+        let pushed_before = q.stats_mut().visitors_pushed;
+        let loc_inspected = match &mut pool {
+            None => generate(&mut q, g, dir, level, 0..nloc, bitmaps),
+            // Static contiguous ranges, absorbed in worker order: the wire
+            // sees a deterministic record stream for a given thread count,
+            // and delivery is order-independent anyway (lexicographic
+            // minimum at `pre_visit`). Inspection counts are
+            // partition-independent: each vertex contributes the same scan
+            // length whichever worker owns it.
+            Some((pool, sinks)) => {
+                let workers = pool.size();
+                let mut inspected = 0u64;
+                pool.fan_out(
+                    sinks,
+                    |w, (sink, n)| {
+                        let range = nloc * w / workers..nloc * (w + 1) / workers;
+                        *n = generate(sink, g, dir, level, range, bitmaps);
+                    },
+                    |(sink, n)| {
+                        inspected += *n;
+                        q.absorb(sink);
+                    },
+                );
+                inspected
+            }
         };
+        let loc_pushed = q.stats_mut().visitors_pushed - pushed_before;
         let inspected = ctx.all_reduce_sum(loc_inspected);
         let candidates = ctx.all_reduce_sum(loc_pushed);
         {
@@ -487,12 +484,14 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
 
         // -- deliver the round; survivors are the next frontier --
         newly.clear();
-        q.drain_round(&mut scratch, &mut newly);
+        q.drain_round(&mut newly);
         level += 1;
         fold_frontier(g, &frontier, &visited, &mut newly);
     }
 
     let mut result = crate::algorithms::bfs::finish_result(ctx, g, q);
+    // the engine's wall clock covers generation and the per-level
+    // collectives, not only the rounds the queue's driver timed
     result.elapsed = start.elapsed();
     result.stats.elapsed = result.elapsed;
     let edges_inspected = trace.iter().map(|t| t.inspected).sum();
@@ -517,52 +516,44 @@ fn fold_frontier(
     }
 }
 
-/// Serial candidate generation for one level. Returns
-/// `(adjacency entries inspected, candidates pushed)` for this rank.
-fn generate_serial(
-    q: &mut VisitorQueue<DirBfsVisitor>,
+/// Generate one level's candidates for the local indices in `range` into
+/// `sink` — the queue itself on the serial path, a worker's shard pusher
+/// on the pool. Returns the adjacency entries inspected.
+fn generate(
+    sink: &mut impl VisitorPush<DirBfsVisitor>,
     g: &DistGraph,
     dir: Direction,
     level: u64,
-    frontier: &AtomicBitVec,
-    visited: &AtomicBitVec,
-    global_frontier: &AtomicBitVec,
-) -> (u64, u64) {
+    range: std::ops::Range<usize>,
+    (frontier, visited, global_frontier): (&AtomicBitVec, &AtomicBitVec, &AtomicBitVec),
+) -> u64 {
     let mut inspected = 0u64;
-    let mut pushed = 0u64;
     match dir {
-        Direction::Top => {
-            frontier.for_each_set(|li| {
-                let v = g.vertex_at(li);
-                g.with_adj(v, |adj| {
-                    inspected += adj.len() as u64;
-                    for &t in adj {
-                        pushed += 1;
-                        q.push(DirBfsVisitor {
-                            vertex: VertexId(t),
-                            length: level + 1,
-                            parent: v.0,
-                        });
-                    }
-                });
-            });
-        }
-        Direction::Bottom => {
-            for li in 0..g.num_local_vertices() {
-                if visited.get(li) {
-                    continue;
+        Direction::Top => frontier.for_each_set_in(range, |li| {
+            let v = g.vertex_at(li);
+            g.with_adj(v, |adj| {
+                inspected += adj.len() as u64;
+                for &t in adj {
+                    sink.push(DirBfsVisitor {
+                        vertex: VertexId(t),
+                        length: level + 1,
+                        parent: v.0,
+                    });
                 }
+            });
+        }),
+        Direction::Bottom => {
+            for li in range.filter(|&li| !visited.get(li)) {
                 let v = g.vertex_at(li);
                 let (scanned, hit) = scan_for_parent(g, v, global_frontier);
                 inspected += scanned;
                 if let Some(parent) = hit {
-                    pushed += 1;
-                    q.push(DirBfsVisitor { vertex: v, length: level + 1, parent });
+                    sink.push(DirBfsVisitor { vertex: v, length: level + 1, parent });
                 }
             }
         }
     }
-    (inspected, pushed)
+    inspected
 }
 
 /// Bottom-up inner loop: scan `v`'s local (sorted) adjacency slice for the
@@ -578,88 +569,6 @@ fn scan_for_parent(
     global_frontier: &AtomicBitVec,
 ) -> (u64, Option<u64>) {
     g.scan_adj(v, |t| global_frontier.get(t as usize))
-}
-
-/// Parallel candidate generation: workers sweep static chunks of the local
-/// index space, staging pushes in per-worker shards the coordinator
-/// absorbs in worker order — the wire sees a deterministic record stream
-/// for a given thread count, and delivery is order-independent anyway
-/// (lexicographic minimum at `pre_visit`). Inspection counts are
-/// partition-independent: each vertex contributes the same scan length
-/// whichever worker owns it.
-#[allow(clippy::too_many_arguments)]
-fn generate_parallel(
-    q: &mut VisitorQueue<DirBfsVisitor>,
-    g: &DistGraph,
-    pool: &WorkerPool,
-    dir: Direction,
-    level: u64,
-    frontier: &AtomicBitVec,
-    visited: &AtomicBitVec,
-    global_frontier: &AtomicBitVec,
-) -> (u64, u64) {
-    let nloc = g.num_local_vertices();
-    let workers = pool.size();
-    let mut ledgers: PerWorker<GenLedger> = PerWorker::new_with(workers, |_| GenLedger::default());
-    {
-        let ledgers_ref: &PerWorker<GenLedger> = &ledgers;
-        let job = move |w: usize| {
-            // safety: worker `w` is the only thread touching cell `w`
-            let ledger = unsafe { ledgers_ref.cell(w) };
-            let begin = nloc * w / workers;
-            let end = nloc * (w + 1) / workers;
-            for li in begin..end {
-                match dir {
-                    Direction::Top => {
-                        if !frontier.get(li) {
-                            continue;
-                        }
-                        let v = g.vertex_at(li);
-                        g.with_adj(v, |adj| {
-                            ledger.inspected += adj.len() as u64;
-                            for &t in adj {
-                                ledger.pushed += 1;
-                                ledger.shard.send(
-                                    g.min_owner(VertexId(t)),
-                                    DirBfsVisitor {
-                                        vertex: VertexId(t),
-                                        length: level + 1,
-                                        parent: v.0,
-                                    },
-                                );
-                            }
-                        });
-                    }
-                    Direction::Bottom => {
-                        if visited.get(li) {
-                            continue;
-                        }
-                        let v = g.vertex_at(li);
-                        let (scanned, hit) = scan_for_parent(g, v, global_frontier);
-                        ledger.inspected += scanned;
-                        if let Some(parent) = hit {
-                            ledger.pushed += 1;
-                            ledger.shard.send(
-                                g.min_owner(v),
-                                DirBfsVisitor { vertex: v, length: level + 1, parent },
-                            );
-                        }
-                    }
-                }
-            }
-        };
-        pool.broadcast(&job);
-    }
-    let mut inspected = 0u64;
-    let mut pushed = 0u64;
-    for ledger in ledgers.iter_mut() {
-        inspected += ledger.inspected;
-        pushed += ledger.pushed;
-        q.absorb_generated(&mut ledger.shard, ledger.pushed);
-        ledger.inspected = 0;
-        ledger.pushed = 0;
-    }
-    (inspected, pushed)
 }
 
 #[cfg(test)]

@@ -7,10 +7,13 @@
 //!   ghost evaluations (see DESIGN.md for why k-core needs this on split
 //!   adjacency lists).
 //! - [`queue`] — Algorithm 1: `push` with local ghost filtering,
-//!   `check_mailbox` with master→replica forwarding chains, and
-//!   `do_traversal` driven by mailbox polling and asynchronous quiescence
-//!   detection. Local visitors are ordered by the algorithm's comparator
-//!   with a vertex-id tie-break for page-level locality (Section V-A).
+//!   `check_mailbox` with master→replica forwarding chains, and one
+//!   driver loop (mailbox poll, drain the heap, quiescence cut) that
+//!   `do_traversal`, `do_traversal_checkpointed` and the level-synchronous
+//!   engines' rounds all run, differing only in executor and cut policy
+//!   (DESIGN.md §16). Local visitors are ordered by the algorithm's
+//!   comparator with a vertex-id tie-break for page-level locality
+//!   (Section V-A).
 //! - [`ghost`] — per-partition ghost tables for high in-degree hubs
 //!   (Section IV-B).
 //! - [`algorithms`] — BFS (Algorithms 2–3), k-core decomposition

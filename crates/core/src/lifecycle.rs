@@ -18,8 +18,8 @@
 //! global totals on every rank. Deadlines are round/edge budgets checked
 //! against those all-reduced values — never wall clocks. Cancels ride
 //! their own CRC-framed mailbox whose payload counters are summed into
-//! the quiescence poll ([`VisitorQueue::drain_round_side`]), so a cut
-//! cannot confirm while a cancel is in flight. The stall watchdog is the
+//! the quiescence poll (`queue::Side`), so a cut cannot confirm
+//! while a cancel is in flight. The stall watchdog is the
 //! one exception — it exists precisely for the case where no further cut
 //! will ever confirm — and it is made world-agreed by the detector
 //! itself: the root broadcasts the abort inside the wave protocol, so
@@ -37,22 +37,20 @@
 //! the asynchronous engine, which is why result digests cover levels
 //! only.
 
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::Ordering as MemOrdering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use havoq_comm::{CancelRecord, CutVerdict, Mailbox, RankCtx, SendShard};
+use havoq_comm::{CancelRecord, CutVerdict, Mailbox, RankCtx};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
-use havoq_util::parallel::{AtomicBitVec, PerWorker, SharedSlots, WorkerPool};
+use havoq_util::parallel::{AtomicBitVec, LockedSlots, PerWorker, WorkerPool};
 
-use crate::algorithms::bfs::UNREACHED;
 use crate::batch::{
-    BatchBfsData, BatchBfsVisitor, BatchConfig, BatchLedger, LedgerCells, MAX_BATCH,
+    reduce_per_query, BatchBfsData, BatchBfsVisitor, BatchConfig, BatchLedger, LedgerCells,
+    MAX_BATCH,
 };
-use crate::queue::{TraversalStats, VisitorQueue};
-use crate::visitor::{Visitor, VisitorPush};
+use crate::queue::{ShardPusher, Side, TraversalStats, VisitorQueue};
+use crate::visitor::Visitor;
 
 /// Watchdog threshold used when [`BatchConfig::watchdog_waves`] is unset.
 /// Sized so that transient chaos — bounded stall windows, slow-rank
@@ -142,15 +140,6 @@ pub struct LifecycleBfsResult {
     pub elapsed: Duration,
 }
 
-/// SplitMix64 finalizer: the digest mixer (order-invariant under
-/// wrapping-sum aggregation because each term is mixed independently).
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Claim every query bit that is live at `length` on this slot — best
 /// length matches, not yet expanded, not retired — and mark it expanded.
 /// Callers serialize per-slot access (bit lock in the parallel path);
@@ -169,131 +158,62 @@ fn claim_live<const K: usize>(data: &mut BatchBfsData<K>, length: u64, retired: 
     live
 }
 
-/// Stages pushes into a per-worker shard, mirroring the queue's internal
-/// shard pusher: route to the destination's minimum owner, count the
-/// push; ghost filtering happens when the coordinator absorbs the shard.
-struct StagePusher<'a, const K: usize> {
-    g: &'a DistGraph,
-    shard: &'a mut SendShard<BatchBfsVisitor<K>>,
-    pushed: &'a mut u64,
-}
+/// Per-worker state of the round fan-out: the staged pushes and the union
+/// of the masks this worker claimed.
+type RoundCell<'g, const K: usize> = (ShardPusher<'g, BatchBfsVisitor<K>>, u64);
 
-impl<const K: usize> VisitorPush<BatchBfsVisitor<K>> for StagePusher<'_, K> {
-    fn push(&mut self, visitor: BatchBfsVisitor<K>) {
-        *self.pushed += 1;
-        self.shard.send(self.g.min_owner(visitor.vertex()), visitor);
-    }
-}
-
-/// Per-worker staging state for one round's expansion.
-struct ExecShard<const K: usize> {
-    shard: SendShard<BatchBfsVisitor<K>>,
-    pushed: u64,
-    claimed: u64,
-}
-
-impl<const K: usize> Default for ExecShard<K> {
-    fn default() -> Self {
-        Self { shard: SendShard::default(), pushed: 0, claimed: 0 }
-    }
-}
-
-/// Expand one claimed live mask: rebuild a seed holding exactly the
-/// claimed bits at the visitor's depth and let the visitor's own `visit`
-/// do the ledger recording and adjacency walk, so the wire records and
-/// counters are identical in kind to the asynchronous engine's.
-#[inline]
-fn expand_claimed<const K: usize>(
-    g: &DistGraph,
-    vis: &BatchBfsVisitor<K>,
-    live: u64,
-    shard: &mut ExecShard<K>,
-) {
-    let mut seed = BatchBfsData::<K>::default();
-    let mut m = live;
-    while m != 0 {
-        let q = m.trailing_zeros() as usize;
-        m &= m - 1;
-        seed.length[q] = vis.length;
-    }
-    let mut pusher = StagePusher { g, shard: &mut shard.shard, pushed: &mut shard.pushed };
-    vis.visit(g, &mut seed, &mut pusher);
-    shard.claimed |= live;
+/// What one run reuses across rounds to expand frontiers: the worker pool
+/// (a pool of one at `threads == 1` — one broadcast per BFS depth, unlike
+/// the asynchronous loop's one per chunk), its per-slot lock bits and its
+/// per-worker cells.
+struct RoundExec<'g, const K: usize> {
+    pool: WorkerPool,
+    locks: AtomicBitVec,
+    cells: PerWorker<RoundCell<'g, K>>,
 }
 
 /// Execute one round's frontier: claim live masks on the shared state
 /// (exactly-once per (query, vertex, depth)) and expand them, staging
 /// pushes per worker and absorbing them in worker order. Returns the
 /// union of claimed masks on this rank.
-fn execute_round<const K: usize>(
-    q: &mut VisitorQueue<'_, BatchBfsVisitor<K>>,
-    g: &DistGraph,
-    pool: Option<&WorkerPool>,
-    locks: &AtomicBitVec,
+///
+/// A claimed mask is expanded by rebuilding a seed holding exactly the
+/// claimed bits at the visitor's depth and letting the visitor's own
+/// `visit` do the ledger recording and adjacency walk, so the wire records
+/// and counters are identical in kind to the asynchronous engine's.
+fn execute_round<'g, const K: usize>(
+    q: &mut VisitorQueue<'g, BatchBfsVisitor<K>>,
+    g: &'g DistGraph,
+    exec: &mut RoundExec<'g, K>,
     newly: &[BatchBfsVisitor<K>],
     retired: u64,
 ) -> u64 {
-    if newly.is_empty() {
-        return 0;
-    }
-    match pool {
-        None => {
-            let mut shard = ExecShard::<K>::default();
-            let state = q.state_mut_slice();
-            for vis in newly {
-                let li = g.local_index(vis.vertex());
-                let live = claim_live(&mut state[li], vis.length, retired);
-                if live != 0 {
-                    expand_claimed(g, vis, live, &mut shard);
+    let (state, mut absorb) = q.state_and_absorb();
+    let slots = LockedSlots::new(state, &mut exec.locks);
+    let mut claimed = 0u64;
+    exec.pool.fan_out_blocks(
+        newly,
+        &mut exec.cells,
+        |(sink, mask), vis| {
+            let li = g.local_index(vis.vertex());
+            let live = slots.with(li, |slot| claim_live(slot, vis.length, retired));
+            if live != 0 {
+                let mut seed = BatchBfsData::<K>::default();
+                let mut m = live;
+                while m != 0 {
+                    seed.length[m.trailing_zeros() as usize] = vis.length;
+                    m &= m - 1;
                 }
+                vis.visit(g, &mut seed, sink);
+                *mask |= live;
             }
-            let claimed = shard.claimed;
-            q.absorb_generated(&mut shard.shard, shard.pushed);
-            claimed
-        }
-        Some(pool) => {
-            let mut shards: PerWorker<ExecShard<K>> =
-                PerWorker::new_with(pool.size(), |_| ExecShard::default());
-            {
-                let slots = SharedSlots::new(q.state_mut_slice());
-                let shards_ref: &PerWorker<ExecShard<K>> = &shards;
-                let cursor = AtomicUsize::new(0);
-                // Small blocks keep load balance under skewed degrees
-                // without cursor contention (same constant as run_chunk).
-                const BLOCK: usize = 16;
-                let job = move |w: usize| {
-                    // safety: worker `w` is the only thread touching cell `w`
-                    let shard = unsafe { shards_ref.cell(w) };
-                    loop {
-                        let begin = cursor.fetch_add(BLOCK, MemOrdering::Relaxed);
-                        if begin >= newly.len() {
-                            break;
-                        }
-                        let end = (begin + BLOCK).min(newly.len());
-                        for vis in &newly[begin..end] {
-                            let li = g.local_index(vis.vertex());
-                            locks.lock(li);
-                            // safety: the bit lock serializes slot `li`
-                            let live = claim_live(unsafe { slots.slot(li) }, vis.length, retired);
-                            locks.unlock(li);
-                            if live != 0 {
-                                expand_claimed(g, vis, live, shard);
-                            }
-                        }
-                    }
-                };
-                pool.broadcast(&job);
-            }
-            let mut claimed = 0u64;
-            for shard in shards.iter_mut() {
-                claimed |= shard.claimed;
-                q.absorb_generated(&mut shard.shard, shard.pushed);
-                shard.pushed = 0;
-                shard.claimed = 0;
-            }
-            claimed
-        }
-    }
+        },
+        |(sink, mask)| {
+            claimed |= std::mem::take(mask);
+            absorb(sink);
+        },
+    );
+    claimed
 }
 
 /// Run up to `K` BFS queries under the lifecycle control plane.
@@ -325,6 +245,11 @@ pub fn bfs_batch_lifecycle<const K: usize>(
 ) -> LifecycleBfsResult {
     assert!(K <= MAX_BATCH, "batch width {K} exceeds MAX_BATCH {MAX_BATCH}");
     assert!(sources.len() <= K, "{} sources exceed batch width {K}", sources.len());
+    assert!(
+        cfg.checkpoint.is_none(),
+        "BatchConfig::checkpoint is not supported by bfs_batch_lifecycle: lifecycle runs do not \
+         checkpoint (use bfs_batch, or leave the field None)"
+    );
     let width = sources.len();
     let start = Instant::now();
     let ledger = Arc::new(LedgerCells::default());
@@ -335,11 +260,16 @@ pub fn bfs_batch_lifecycle<const K: usize>(
         Arc::clone(&ledger),
     );
     q.arm_watchdog(cfg.watchdog_waves.unwrap_or(DEFAULT_WATCHDOG_WAVES));
-    let cancel_tag = ctx.auto_tag();
-    let mut cancel_mb: Mailbox<CancelRecord> =
-        Mailbox::open_with(ctx, cancel_tag, cfg.traversal.mailbox, ());
-    let pool = (cfg.traversal.threads > 1).then(|| WorkerPool::new(cfg.traversal.threads));
-    let locks = AtomicBitVec::new(g.num_local_vertices());
+    let mut cancel_plane: Side<CancelRecord> = Side {
+        mb: Mailbox::open_with(ctx, ctx.auto_tag(), cfg.traversal.mailbox, ()),
+        inbox: Vec::new(),
+    };
+    let pool = WorkerPool::new(cfg.traversal.threads.max(1));
+    let mut exec = RoundExec {
+        cells: PerWorker::new_with(pool.size(), |_| (ShardPusher::new(g), 0u64)),
+        locks: AtomicBitVec::new(g.num_local_vertices()),
+        pool,
+    };
 
     for (qi, &s) in sources.iter().enumerate() {
         if g.is_master(s) {
@@ -356,13 +286,11 @@ pub fn bfs_batch_lifecycle<const K: usize>(
     let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; width];
     let mut rounds: u64 = 0;
     let mut aborted = false;
-    let mut scratch: Vec<BatchBfsVisitor<K>> = Vec::new();
     let mut newly: Vec<BatchBfsVisitor<K>> = Vec::new();
-    let mut cancels_in: Vec<CancelRecord> = Vec::new();
 
     // Round 0 delivery: the seeds merge into per-vertex state and land in
     // `newly` as the depth-0 frontier.
-    let mut verdict = q.drain_round_side(&mut scratch, &mut newly, &mut cancel_mb, &mut cancels_in);
+    let mut verdict = q.drain_round_with(&mut newly, &mut cancel_plane);
     // Phase fence: a rank that confirms the seed cut must not inject round-1
     // traffic (cancel records, depth-1 visitors) while a peer still polls
     // that cut — the straggler would absorb next-round traffic into its seed
@@ -383,19 +311,19 @@ pub fn bfs_batch_lifecycle<const K: usize>(
                 }
             }
             ledger.retire(live);
-            cancel_mb.channel_stats().record_abort(ctx.rank());
+            cancel_plane.mb.channel_stats().record_abort(ctx.rank());
             break;
         }
 
         // --- lifecycle decisions at this confirmed cut -------------------
         // 1. Cancels: the cut guarantees every rank holds the same record
         //    set; application is idempotent per record.
-        for rec in cancels_in.drain(..) {
+        for rec in cancel_plane.inbox.drain(..) {
             let qi = rec.query as usize;
             if qi < width && outcomes[qi].is_none() {
                 outcomes[qi] = Some(QueryOutcome::Cancelled);
                 ledger.retire(1 << qi);
-                cancel_mb.channel_stats().record_cancel(ctx.rank());
+                cancel_plane.mb.channel_stats().record_cancel(ctx.rank());
             }
         }
         // 2. Budgets: pure functions of the globally agreed round counter
@@ -430,8 +358,8 @@ pub fn bfs_batch_lifecycle<const K: usize>(
             for &(qi, at_round) in cancels {
                 if at_round == rounds && qi < width && outcomes[qi].is_none() {
                     for dst in 0..ctx.size() {
-                        cancel_mb
-                            .send(dst, CancelRecord { query: qi as u32, origin: 0, round: rounds });
+                        let rec = CancelRecord { query: qi as u32, origin: 0, round: rounds };
+                        cancel_plane.mb.send(dst, rec);
                     }
                 }
             }
@@ -439,9 +367,9 @@ pub fn bfs_batch_lifecycle<const K: usize>(
 
         // --- expand the confirmed frontier (exactly-once claims) ---------
         let retired = ledger.retired_mask();
-        let claimed_local = execute_round(&mut q, g, pool.as_ref(), &locks, &newly, retired);
+        let claimed_local = execute_round(&mut q, g, &mut exec, &newly, retired);
         newly.clear();
-        verdict = q.drain_round_side(&mut scratch, &mut newly, &mut cancel_mb, &mut cancels_in);
+        verdict = q.drain_round_with(&mut newly, &mut cancel_plane);
         rounds += 1;
         if verdict == CutVerdict::Abort {
             continue;
@@ -458,54 +386,17 @@ pub fn bfs_batch_lifecycle<const K: usize>(
     }
 
     // --- globally agreed per-query results (masters only) ----------------
-    let mut visited = vec![0u64; width];
-    let mut traversed = vec![0u64; width];
-    let mut deepest = vec![0u64; width];
-    let mut digest = vec![0u64; width];
-    for v in g.local_vertices() {
-        if !g.is_master(v) {
-            continue;
-        }
-        let d = &q.state()[g.local_index(v)];
-        let deg = g.total_degree(v);
-        for qi in 0..width {
-            if d.length[qi] != UNREACHED {
-                visited[qi] += 1;
-                traversed[qi] += deg;
-                deepest[qi] = deepest[qi].max(d.length[qi]);
-                digest[qi] = digest[qi].wrapping_add(mix(v.0 ^ mix(d.length[qi])));
-            }
-        }
-    }
     let snap = ledger.snapshot();
-    let mut sums: Vec<u64> = Vec::with_capacity(width * 5);
-    sums.extend_from_slice(&visited);
-    sums.extend_from_slice(&traversed);
-    sums.extend_from_slice(&digest);
-    sums.extend((0..width).map(|qi| snap.executed[qi]));
-    sums.extend((0..width).map(|qi| snap.pushed[qi]));
-    let sums = ctx.all_reduce(sums, |mut a, b| {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x = x.wrapping_add(y);
-        }
-        a
-    });
-    let deepest = ctx.all_reduce(deepest, |mut a, b| {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x = (*x).max(y);
-        }
-        a
-    });
-
+    let totals = reduce_per_query::<K, true>(ctx, g, q.state(), width, &snap);
     let queries = (0..width)
         .map(|qi| QueryLifecycle {
             outcome: outcomes[qi].expect("every query has a terminal outcome"),
-            levels_digest: sums[2 * width + qi],
-            visited_count: sums[qi],
-            traversed_edges: sums[width + qi],
-            max_level: deepest[qi],
-            executed_global: sums[3 * width + qi],
-            pushed_global: sums[4 * width + qi],
+            levels_digest: totals.digest[qi],
+            visited_count: totals.aggregates[qi].visited_count,
+            traversed_edges: totals.aggregates[qi].traversed_edges,
+            max_level: totals.aggregates[qi].max_level,
+            executed_global: totals.executed[qi],
+            pushed_global: totals.pushed[qi],
         })
         .collect();
 
@@ -590,6 +481,7 @@ mod tests {
                 }
                 let run = &runs[0];
                 assert!(!run.aborted);
+                assert!(!run.stats.elapsed.is_zero(), "the driver times every round");
                 for (qi, q) in run.queries.iter().enumerate() {
                     assert_eq!(q.outcome, QueryOutcome::Complete, "query {qi}");
                     assert_eq!(q.visited_count, reference[qi].visited_count, "query {qi}");
@@ -599,6 +491,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A lifecycle run never checkpoints, so a spec must be rejected at
+    /// entry instead of silently ignored.
+    #[test]
+    #[should_panic(expected = "BatchConfig::checkpoint is not supported")]
+    fn checkpoint_spec_is_rejected_not_ignored() {
+        let cfg = BatchConfig::default().with_checkpoint(crate::CheckpointSpec::default());
+        lifecycle_run(1, 1, cfg, vec![]);
     }
 
     #[test]

@@ -12,22 +12,28 @@
 //!   execute locally queued visitors in priority order, and terminate when
 //!   the quiescence detector confirms the queue is globally empty.
 //!
+//! That loop is written once (`drive`, DESIGN.md §16). Who drains the heap
+//! between polls is an `Executor` — inline on this thread, the worker pool
+//! of DESIGN.md §11, or *park* for the level-synchronous engines, which
+//! expand survivors themselves — and what a confirmed quiescence cut means
+//! is a `CutPolicy`: terminate, checkpoint after a visitor budget
+//! (`do_traversal_checkpointed`), or return after one round
+//! (`drain_round`). Both are picked from what the caller already passes.
+//!
 //! Visitors with equal algorithm priority are ordered by vertex id, the
 //! Section V-A locality optimization that makes semi-external adjacency
 //! reads page-sequential.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering as MemOrdering};
 use std::time::{Duration, Instant};
 
 use havoq_comm::{CutVerdict, Mailbox, MailboxConfig, Quiescence, RankCtx, SendShard, WireCodec};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
-use havoq_nvram::checkpoint::CheckpointStore;
-use havoq_util::parallel::{AtomicBitVec, PerWorker, SharedSlots, WorkerPool};
+use havoq_util::parallel::{AtomicBitVec, LockedSlots, PerWorker, WorkerPool};
 
-use crate::checkpoint::{CheckpointSpec, QueueCheckpoint, QueueCounters};
+use crate::checkpoint::{CheckpointLog, CheckpointSpec, QueueCheckpoint, QueueCounters};
 use crate::direction::DirectionConfig;
 use crate::ghost::GhostTable;
 use crate::visitor::{Role, Visitor, VisitorPush};
@@ -48,7 +54,7 @@ pub struct TraversalConfig {
     /// semi-external adjacency reads across pages.
     pub locality_order: bool,
     /// Worker threads executing `visit` inside this rank. `1` (the
-    /// default) keeps the historical fully serial loop, bit for bit. With
+    /// default) runs every `visit` inline on the rank's own thread. With
     /// `threads > 1` each rank pops frontier chunks from its heap and fans
     /// the `visit` calls out to a worker pool (DESIGN.md §11); the
     /// mailbox, quiescence and checkpoint paths stay on the coordinator
@@ -254,6 +260,60 @@ pub struct VisitorQueue<'g, V: Visitor + WireCodec> {
     /// Wire decode context, kept so checkpointed heap visitors can be
     /// reconstructed on restore.
     decode_ctx: V::DecodeCtx,
+    /// Reused landing buffer of `check_mailbox`.
+    scratch: Vec<V>,
+}
+
+/// Who drains the heap between two mailbox polls of the driver
+/// ([`VisitorQueue::drive`]). Chosen from what the caller already passed:
+/// `threads` picks inline or pool, a level-synchronous engine parks.
+enum Executor<'a, 'g, V: Visitor + WireCodec> {
+    /// `threads == 1`: run `visit` on the real state slot, on this thread.
+    /// Not a pool of one: `WorkerPool::broadcast` always hands the job to
+    /// other threads and waits, a condvar round trip per `poll_batch`
+    /// visitors (DESIGN.md "The driver").
+    Inline,
+    /// `threads > 1`: fan each chunk out to the worker pool (DESIGN.md §11).
+    Pool(PoolExec<'g, V>),
+    /// Move survivors into the vec, in heap order, without running `visit`:
+    /// the engine expands them itself after the round's cut.
+    Park(&'a mut Vec<V>),
+}
+
+/// The worker pool of one parallel traversal and what it reuses between
+/// chunks: per-slot lock bits, per-worker push sinks, the chunk buffer.
+struct PoolExec<'g, V: Visitor + WireCodec> {
+    pool: WorkerPool,
+    locks: AtomicBitVec,
+    sinks: PerWorker<ShardPusher<'g, V>>,
+    chunk: Vec<V>,
+}
+
+/// What a confirmed quiescence cut means to the driver.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CutPolicy {
+    /// Run to global quiescence; returns [`CutVerdict::Terminate`].
+    Terminate,
+    /// Vote for a cut once this many visitors have executed (still polling,
+    /// pre-visiting and forwarding, so the payload counters can settle). A
+    /// cut that finds every rank dry terminates; any other returns
+    /// [`CutVerdict::Cut`] with the frontier parked in the heaps, for the
+    /// caller to checkpoint and call again. The budget also caps the
+    /// executor, so the pool is quiesced and absorbed at every cut.
+    Budget(u64),
+    /// Return at the first confirmed cut, never terminal: a reusable round
+    /// barrier. The engine terminates on its own all-reduced frontier.
+    Round,
+}
+
+/// A second mailbox settled under the same cuts as the queue's own (the
+/// lifecycle engine's cancel plane): its payload counters are summed into
+/// the quiescence poll, so a cut cannot confirm while one of its records
+/// is in flight — at every confirmed cut all ranks hold the same `inbox`.
+/// Arrivals are appended to `inbox`, never executed or forwarded.
+pub(crate) struct Side<C: Send + WireCodec + 'static> {
+    pub mb: Mailbox<C>,
+    pub inbox: Vec<C>,
 }
 
 impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
@@ -297,6 +357,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
             stats: TraversalStats::default(),
             arrival_seq: 0,
             decode_ctx,
+            scratch: Vec::new(),
         }
     }
 
@@ -359,6 +420,25 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         s.corrupt_frames_detected = recv_col(&tr.corrupt_detected);
         s.nacks_sent = recv_col(&tr.nacks);
         s.retransmits = send_row(&tr.retransmits);
+        // This rank's storage-layer stalls, queue pressure and decode work
+        // (semi-external storage only; all zeros for in-memory CSR).
+        let csr = self.g.csr();
+        if let Some(cs) = csr.cache_stats() {
+            s.io_stall = cs.io_stall();
+            s.evict_stall = cs.evict_stall();
+            s.page_checksum_failures = cs.page_checksum_failures;
+            s.page_reread_retries = cs.page_reread_retries;
+        }
+        if let Some(io) = csr.io_stats() {
+            s.io_avg_queue_depth = io.avg_queue_depth();
+            s.io_queue_peak = io.peak_outstanding;
+        }
+        if let Some(snap) = csr.storage_snapshot() {
+            s.adj_decodes = snap.adj_decodes;
+            s.adj_decoded_bytes = snap.adj_decoded_bytes;
+            s.edge_bytes_encoded = snap.encoded_bytes;
+            s.edge_bytes_raw = snap.raw_bytes;
+        }
         s
     }
 
@@ -379,11 +459,11 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
 
     /// Receive and pre-visit incoming visitors; returns payloads delivered
     /// (Algorithm 1, `check_mailbox`).
-    fn check_mailbox(&mut self, scratch: &mut Vec<V>) -> usize {
-        scratch.clear();
-        self.mailbox.poll(scratch);
-        let delivered = scratch.len();
-        for visitor in scratch.drain(..) {
+    fn check_mailbox(&mut self) -> usize {
+        self.scratch.clear();
+        self.mailbox.poll(&mut self.scratch);
+        let delivered = self.scratch.len();
+        for visitor in self.scratch.drain(..) {
             let v = visitor.vertex();
             debug_assert!(
                 self.g.is_local(v),
@@ -411,268 +491,200 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         delivered
     }
 
+    /// The one traversal loop (Algorithm 1, `do_traversal`; DESIGN.md "The
+    /// driver"): poll the mailbox, let `exec` drain up to a chunk of the
+    /// heap, and when the rank runs dry — or `policy`'s budget is spent —
+    /// flush and ask the quiescence detector for a cut. Returns the first
+    /// verdict `policy` does not absorb, and adds its wall clock to
+    /// `stats.elapsed`. Collective; a `side` mailbox, if any, is polled,
+    /// flushed and counted with the queue's own.
+    fn drive<C: Send + WireCodec + 'static>(
+        &mut self,
+        exec: &mut Executor<'_, 'g, V>,
+        policy: CutPolicy,
+        mut side: Option<&mut Side<C>>,
+    ) -> CutVerdict {
+        let start = Instant::now();
+        let budget = match policy {
+            CutPolicy::Budget(n) => n,
+            CutPolicy::Terminate | CutPolicy::Round => u64::MAX,
+        };
+        let chunk_cap = match exec {
+            Executor::Inline => self.cfg.poll_batch,
+            Executor::Pool(px) => self.cfg.poll_batch.saturating_mul(px.pool.size()).max(1),
+            Executor::Park(_) => usize::MAX,
+        };
+        let mut executed_since = 0u64;
+        let verdict = loop {
+            let mut delivered = self.check_mailbox();
+            if let Some(s) = side.as_deref_mut() {
+                delivered += s.mb.poll(&mut s.inbox);
+            }
+            let limit =
+                chunk_cap.min(usize::try_from(budget - executed_since).unwrap_or(usize::MAX));
+            executed_since += match exec {
+                Executor::Inline => self.run_inline(limit),
+                Executor::Pool(px) => self.run_pool(px, limit),
+                Executor::Park(newly) => self.park(newly, limit),
+            } as u64;
+            let due = executed_since >= budget;
+            let no_work = delivered == 0 && self.heap.is_empty();
+            if due || no_work {
+                self.mailbox.flush();
+                let mut sent = self.mailbox.sent_count();
+                let mut recv = self.mailbox.received_count();
+                let mut pending = self.mailbox.pending_out();
+                if let Some(s) = side.as_deref_mut() {
+                    s.mb.flush();
+                    sent += s.mb.sent_count();
+                    recv += s.mb.received_count();
+                    pending += s.mb.pending_out();
+                }
+                let drained = pending == 0;
+                // `due` stays out of the flag: when every rank runs dry the
+                // cut reads as termination even if thresholds were pending.
+                // A round cut is never terminal (see `CutPolicy::Round`).
+                let flag = policy != CutPolicy::Round && no_work && drained;
+                match self.quiescence.poll_cut(sent, recv, drained, flag) {
+                    Some(verdict) => break verdict,
+                    // idle but not confirmed: give peer ranks the core
+                    // instead of spin-polling (matters when ranks are
+                    // oversubscribed onto few physical cores, as in the
+                    // simulation)
+                    None => std::thread::yield_now(),
+                }
+            }
+        };
+        self.stats.elapsed += start.elapsed();
+        verdict
+    }
+
+    /// Inline executor: pop up to `limit` visitors and run each `visit` on
+    /// its real state slot; returns the number executed.
+    fn run_inline(&mut self, limit: usize) -> usize {
+        let mut executed = 0;
+        while executed < limit {
+            let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
+            executed += 1;
+            let li = self.g.local_index(vis.vertex());
+            // split borrows: vertex state vs. push path
+            let Self { g, mailbox, ghosts, state, stats, .. } = self;
+            let mut pusher = Pusher { g, mailbox, ghosts, stats };
+            vis.visit(g, &mut state[li], &mut pusher);
+        }
+        self.stats.visitors_executed += executed as u64;
+        executed
+    }
+
+    /// Pool executor: pop up to `limit` visitors and execute them on the
+    /// worker pool; returns the number executed. Workers claim blocks of
+    /// the chunk, guard each per-vertex state slot with a bit lock only
+    /// while copying the `visit_seed` out and while `merge`-ing the result
+    /// back (never across the `visit` call itself, which may block on
+    /// semi-external page fills), and stage every push in a per-worker
+    /// [`ShardPusher`]. After the pool quiesces the coordinator absorbs the
+    /// shards in worker order through the exact ghost-filter + mailbox
+    /// path a serial push takes: visitor-level interleaving inside a chunk
+    /// is scheduling-dependent, but everything that reaches the wire does
+    /// so from that single-threaded, deterministic drain.
+    fn run_pool(&mut self, px: &mut PoolExec<'g, V>, limit: usize) -> usize {
+        px.chunk.clear();
+        while px.chunk.len() < limit {
+            let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
+            px.chunk.push(vis);
+        }
+        let Self { g, mailbox, ghosts, state, stats, .. } = self;
+        let g = *g;
+        let slots = LockedSlots::new(state, &mut px.locks);
+        px.pool.fan_out_blocks(
+            &px.chunk,
+            &mut px.sinks,
+            |sink, vis| {
+                let li = g.local_index(vis.vertex());
+                let mut seed = slots.with(li, |slot| V::visit_seed(slot));
+                vis.visit(g, &mut seed, sink);
+                slots.with(li, |slot| V::merge(slot, &seed));
+            },
+            |sink| absorb_shard(mailbox, ghosts, stats, sink),
+        );
+        stats.visitors_executed += px.chunk.len() as u64;
+        px.chunk.len()
+    }
+
+    /// Park executor: move up to `limit` visitors into `newly` in heap
+    /// order, counted as executed.
+    fn park(&mut self, newly: &mut Vec<V>, limit: usize) -> usize {
+        let mut parked = 0;
+        while parked < limit {
+            let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
+            parked += 1;
+            newly.push(vis);
+        }
+        self.stats.visitors_executed += parked as u64;
+        parked
+    }
+
+    /// The executor `cfg.threads` selects for an asynchronous traversal.
+    fn executor(&self) -> Executor<'static, 'g, V> {
+        if self.cfg.threads > 1 {
+            let pool = WorkerPool::new(self.cfg.threads);
+            let sinks = PerWorker::new_with(pool.size(), |_| ShardPusher::new(self.g));
+            let locks = AtomicBitVec::new(self.state.len());
+            Executor::Pool(PoolExec { pool, locks, sinks, chunk: Vec::new() })
+        } else {
+            Executor::Inline
+        }
+    }
+
     /// Run the asynchronous traversal to completion (Algorithm 1,
     /// `do_traversal`). Initial visitors must already have been pushed.
     pub fn do_traversal(&mut self) {
-        if self.cfg.threads > 1 {
-            self.do_traversal_parallel();
-            return;
-        }
-        let start = Instant::now();
-        let mut scratch: Vec<V> = Vec::new();
-        loop {
-            let delivered = self.check_mailbox(&mut scratch);
-            let mut budget = self.cfg.poll_batch;
-            while budget > 0 {
-                let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
-                budget -= 1;
-                self.stats.visitors_executed += 1;
-                let li = self.g.local_index(vis.vertex());
-                // split borrows: vertex state vs. push path
-                let Self { g, mailbox, ghosts, state, stats, .. } = self;
-                let mut pusher = Pusher { g, mailbox, ghosts, stats };
-                vis.visit(g, &mut state[li], &mut pusher);
-            }
-            if delivered == 0 && self.heap.is_empty() {
-                self.mailbox.flush();
-                let idle = self.mailbox.pending_out() == 0;
-                if self.quiescence.poll(
-                    self.mailbox.sent_count(),
-                    self.mailbox.received_count(),
-                    idle,
-                ) {
-                    break;
-                }
-                // idle but not terminated: give peer ranks the core instead
-                // of spin-polling (matters when ranks are oversubscribed
-                // onto few physical cores, as in the simulation)
-                std::thread::yield_now();
-            }
-        }
-        self.stats.elapsed += start.elapsed();
-    }
-
-    /// Multi-threaded `do_traversal` body (`cfg.threads > 1`): pop frontier
-    /// chunks from the heap and execute their `visit` calls on the worker
-    /// pool, keeping every mailbox/quiescence interaction on this
-    /// (coordinator) thread. See DESIGN.md §11 for the execution protocol.
-    fn do_traversal_parallel(&mut self) {
-        let start = Instant::now();
-        let pool = WorkerPool::new(self.cfg.threads);
-        let locks = AtomicBitVec::new(self.state.len());
-        let mut ledgers: PerWorker<WorkerLedger<V>> =
-            PerWorker::new_with(pool.size(), |_| WorkerLedger::default());
-        let chunk_cap = self.cfg.poll_batch.saturating_mul(pool.size()).max(1);
-        let mut chunk: Vec<V> = Vec::new();
-        let mut scratch: Vec<V> = Vec::new();
-        loop {
-            let delivered = self.check_mailbox(&mut scratch);
-            let executed = self.run_chunk(&pool, &locks, &mut ledgers, &mut chunk, chunk_cap);
-            if delivered == 0 && executed == 0 && self.heap.is_empty() {
-                self.mailbox.flush();
-                let idle = self.mailbox.pending_out() == 0;
-                if self.quiescence.poll(
-                    self.mailbox.sent_count(),
-                    self.mailbox.received_count(),
-                    idle,
-                ) {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-        self.stats.elapsed += start.elapsed();
-    }
-
-    /// Pop up to `limit` visitors from the heap and execute them on the
-    /// worker pool; returns the number executed. Workers claim blocks of
-    /// the chunk from a shared cursor, guard each per-vertex state slot
-    /// with a bit lock only while copying the `visit_seed` out and while
-    /// `merge`-ing the result back (never across the `visit` call itself,
-    /// which may block on semi-external page fills), and stage every push
-    /// in a per-worker [`SendShard`]. After the pool quiesces the
-    /// coordinator absorbs the shards in worker order through the exact
-    /// ghost-filter + mailbox path a serial push takes, so wire traffic,
-    /// ghost counters and termination accounting are identical in kind to
-    /// the serial loop's.
-    fn run_chunk(
-        &mut self,
-        pool: &WorkerPool,
-        locks: &AtomicBitVec,
-        ledgers: &mut PerWorker<WorkerLedger<V>>,
-        chunk: &mut Vec<V>,
-        limit: usize,
-    ) -> usize {
-        chunk.clear();
-        while chunk.len() < limit {
-            let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
-            chunk.push(vis);
-        }
-        if chunk.is_empty() {
-            return 0;
-        }
-        let executed = chunk.len();
-        {
-            let g = self.g;
-            let slots = SharedSlots::new(self.state.as_mut_slice());
-            let cursor = AtomicUsize::new(0);
-            let chunk_ref: &[V] = chunk;
-            let ledgers_ref: &PerWorker<WorkerLedger<V>> = &*ledgers;
-            // Small blocks keep load balance when per-visitor cost varies
-            // (page faults, skewed degrees) without cursor contention.
-            const BLOCK: usize = 16;
-            let job = move |w: usize| {
-                // safety: worker `w` is the only thread touching cell `w`
-                let ledger = unsafe { ledgers_ref.cell(w) };
-                loop {
-                    let begin = cursor.fetch_add(BLOCK, MemOrdering::Relaxed);
-                    if begin >= chunk_ref.len() {
-                        break;
-                    }
-                    let end = (begin + BLOCK).min(chunk_ref.len());
-                    for vis in &chunk_ref[begin..end] {
-                        let li = g.local_index(vis.vertex());
-                        locks.lock(li);
-                        // safety: the bit lock serializes slot `li`
-                        let mut seed = V::visit_seed(unsafe { slots.slot(li) });
-                        locks.unlock(li);
-                        let mut pusher =
-                            ShardPusher { g, shard: &mut ledger.shard, pushed: &mut ledger.pushed };
-                        vis.visit(g, &mut seed, &mut pusher);
-                        locks.lock(li);
-                        // safety: as above — lock held for the merge only
-                        V::merge(unsafe { slots.slot(li) }, &seed);
-                        locks.unlock(li);
-                        ledger.executed += 1;
-                    }
-                }
-            };
-            pool.broadcast(&job);
-        }
-        // Absorb in fixed worker order: visitor-level interleaving inside a
-        // chunk is scheduling-dependent, but everything that reaches the
-        // wire does so from this single-threaded, deterministic drain.
-        let Self { mailbox, ghosts, stats, .. } = self;
-        for ledger in ledgers.iter_mut() {
-            stats.visitors_executed += ledger.executed;
-            stats.visitors_pushed += ledger.pushed;
-            ledger.executed = 0;
-            ledger.pushed = 0;
-            for (dst, visitor) in ledger.shard.drain() {
-                if ghost_pass::<V>(ghosts, stats, &visitor) {
-                    mailbox.send(dst, visitor);
-                }
-            }
-        }
-        executed
+        let verdict = self.drive::<V>(&mut self.executor(), CutPolicy::Terminate, None);
+        debug_assert_eq!(verdict, CutVerdict::Terminate);
     }
 
     /// Drive one level-synchronous *round* to a confirmed global cut
     /// (direction-optimizing engine, DESIGN.md §13). Polls the mailbox,
     /// pre-visits and replica-forwards arrivals exactly like the
-    /// asynchronous loop, but *parks* every surviving visitor into `newly`
-    /// instead of executing its `visit` — the engine folds survivors into
-    /// the next frontier bitmap and generates the following level's
-    /// candidates itself. Returns once [`Quiescence::poll_cut`] confirms a
-    /// non-terminal consistent cut: every candidate sent anywhere this
-    /// round has been delivered, pre-visited and (where it improved state)
-    /// forwarded down its replica chain, and nothing is in flight.
+    /// asynchronous traversal, but parks every surviving visitor into
+    /// `newly` instead of executing its `visit`. Returns once a
+    /// non-terminal consistent cut confirms: every candidate sent anywhere
+    /// this round has been delivered, pre-visited and (where it improved
+    /// state) forwarded down its replica chain, and nothing is in flight.
     ///
-    /// Collective: every rank must call `drain_round` the same number of
-    /// times, and the caller must run at least one collective between
-    /// consecutive rounds (the engine's frontier-size `all_reduce_sum`),
-    /// so no rank can inject round-`k+1` traffic while a peer still polls
-    /// round `k`.
-    pub(crate) fn drain_round(&mut self, scratch: &mut Vec<V>, newly: &mut Vec<V>) {
-        loop {
-            let delivered = self.check_mailbox(scratch);
-            while let Some(HeapEntry(vis, _)) = self.heap.pop() {
-                self.stats.visitors_executed += 1;
-                newly.push(vis);
-            }
-            if delivered == 0 {
-                self.mailbox.flush();
-                let drained = self.mailbox.pending_out() == 0;
-                // flag=false: the cut is a reusable level barrier, never a
-                // terminal verdict — the engine terminates on an empty
-                // global frontier, not on queue quiescence.
-                if self
-                    .quiescence
-                    .poll_cut(
-                        self.mailbox.sent_count(),
-                        self.mailbox.received_count(),
-                        drained,
-                        false,
-                    )
-                    .is_some()
-                {
-                    return;
-                }
-                std::thread::yield_now();
-            }
-        }
+    /// Collective: every rank must drain the same number of rounds, and
+    /// the caller must run at least one collective between consecutive
+    /// rounds (the engine's frontier-size `all_reduce_sum`), so no rank can
+    /// inject round-`k+1` traffic while a peer still polls round `k`.
+    pub(crate) fn drain_round(&mut self, newly: &mut Vec<V>) {
+        let verdict = self.drive::<V>(&mut Executor::Park(newly), CutPolicy::Round, None);
+        debug_assert_eq!(verdict, CutVerdict::Cut);
+    }
+
+    /// Like [`Self::drain_round`], but co-settles `side` under the same
+    /// cut and surfaces the stall watchdog's [`CutVerdict::Abort`]
+    /// (lifecycle engine, DESIGN.md §15).
+    pub(crate) fn drain_round_with<C: Send + WireCodec + 'static>(
+        &mut self,
+        newly: &mut Vec<V>,
+        side: &mut Side<C>,
+    ) -> CutVerdict {
+        self.drive(&mut Executor::Park(newly), CutPolicy::Round, Some(side))
     }
 
     /// Arm the quiescence detector's stall watchdog (lifecycle engine,
     /// DESIGN.md §15): after `waves` consecutive completed waves that are
-    /// stable but payload-unbalanced, every rank's next
-    /// [`Self::drain_round_side`] returns [`CutVerdict::Abort`].
+    /// stable but payload-unbalanced, every rank's next cut poll returns
+    /// [`CutVerdict::Abort`].
     pub(crate) fn arm_watchdog(&mut self, waves: u64) {
         self.quiescence.arm_watchdog(waves);
     }
 
-    /// Like [`Self::drain_round`], but co-settles a *side mailbox* (the
-    /// lifecycle engine's cancel plane) under the same cut and surfaces the
-    /// stall watchdog's verdict. The side channel's payload counters are
-    /// summed into the quiescence poll, so a cut cannot confirm while a
-    /// cancel record is still in flight anywhere — at every confirmed cut,
-    /// all ranks hold the same set of side records. Arrivals on the side
-    /// channel are appended to `side_in` (never executed or forwarded:
-    /// side records are rank-terminal control messages).
-    pub(crate) fn drain_round_side<C: Send + WireCodec + 'static>(
-        &mut self,
-        scratch: &mut Vec<V>,
-        newly: &mut Vec<V>,
-        side: &mut Mailbox<C>,
-        side_in: &mut Vec<C>,
-    ) -> CutVerdict {
-        loop {
-            let delivered = self.check_mailbox(scratch);
-            let side_delivered = side.poll(side_in);
-            while let Some(HeapEntry(vis, _)) = self.heap.pop() {
-                self.stats.visitors_executed += 1;
-                newly.push(vis);
-            }
-            if delivered == 0 && side_delivered == 0 {
-                self.mailbox.flush();
-                side.flush();
-                let drained = self.mailbox.pending_out() == 0 && side.pending_out() == 0;
-                // flag=false: cuts are reusable round barriers; the engine
-                // decides termination from all-reduced frontier state.
-                if let Some(verdict) = self.quiescence.poll_cut_watched(
-                    self.mailbox.sent_count() + side.sent_count(),
-                    self.mailbox.received_count() + side.received_count(),
-                    drained,
-                    false,
-                ) {
-                    return verdict;
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Absorb a worker-staged shard of generated candidates through the
-    /// ghost filter + mailbox, in coordinator context (direction engine's
-    /// parallel generation pass; mirrors the tail of [`Self::run_chunk`]).
-    pub(crate) fn absorb_generated(&mut self, shard: &mut SendShard<V>, pushed: u64) {
-        let Self { mailbox, ghosts, stats, .. } = self;
-        stats.visitors_pushed += pushed;
-        for (dst, visitor) in shard.drain() {
-            if ghost_pass::<V>(ghosts, stats, &visitor) {
-                mailbox.send(dst, visitor);
-            }
-        }
+    /// Absorb a worker-staged shard through the ghost filter + mailbox, in
+    /// coordinator context (the engines' own fan-outs; the same drain
+    /// [`Self::run_pool`] ends with).
+    pub(crate) fn absorb(&mut self, sink: &mut ShardPusher<'g, V>) {
+        absorb_shard(&mut self.mailbox, &mut self.ghosts, &mut self.stats, sink);
     }
 
     /// Mutable access to the traversal counters for same-crate engines
@@ -681,224 +693,96 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         &mut self.stats
     }
 
-    /// Mutable access to the per-vertex state slice for same-crate engines
-    /// that claim and expand frontier slots themselves (the lifecycle
-    /// engine's exactly-once claim protocol, DESIGN.md §15).
-    pub(crate) fn state_mut_slice(&mut self) -> &mut [V::Data] {
-        &mut self.state
+    /// Split borrow for same-crate engines that claim and expand frontier
+    /// slots themselves (the lifecycle engine's exactly-once claim
+    /// protocol, DESIGN.md §15): the per-vertex state slice, beside the
+    /// [`Self::absorb`] that drains what their workers staged.
+    pub(crate) fn state_and_absorb(
+        &mut self,
+    ) -> (&mut [V::Data], impl FnMut(&mut ShardPusher<'g, V>) + '_) {
+        let Self { state, mailbox, ghosts, stats, .. } = self;
+        (state, move |sink| absorb_shard(mailbox, ghosts, stats, sink))
+    }
+}
+
+/// Everything that serializes per-vertex state: checkpoint cuts, and the
+/// entry points that may take one.
+impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V>
+where
+    V::Data: WireCodec<DecodeCtx = ()>,
+{
+    /// [`Self::do_traversal_checkpointed`] if a spec is given, else
+    /// [`Self::do_traversal`] — what every algorithm with a
+    /// `checkpoint: Option<CheckpointSpec>` config field calls.
+    pub fn traverse(&mut self, ctx: &RankCtx, checkpoint: Option<&CheckpointSpec>) {
+        match checkpoint {
+            Some(spec) => self.do_traversal_checkpointed(ctx, spec),
+            None => self.do_traversal(),
+        }
     }
 
     /// Run the traversal with periodic checkpoints and (fault-injected)
     /// crash/restore. Collective; every rank must call it with the same
     /// `spec`.
     ///
-    /// The loop piggybacks checkpointing on the quiescence detector: once a
-    /// rank has executed `spec.every` visitors since the last cut it parks
-    /// its heap (still polling, pre-visiting and forwarding, so the global
-    /// payload counters can settle) and votes for a cut via
-    /// [`Quiescence::poll_cut`]. A cut confirms a consistent global state —
-    /// `sent == recv` and stable across a full wave, so nothing is in
-    /// flight and the entire frontier sits in local heaps — which is the
+    /// Checkpointing piggybacks on the quiescence detector
+    /// (`CutPolicy::Budget`): a confirmed cut is a consistent global
+    /// state — `sent == recv` and stable across a full wave, so nothing is
+    /// in flight and the entire frontier sits in local heaps — which is the
     /// only point where per-rank snapshots compose into a recoverable
-    /// whole. Each rank then writes its blob as one epoch in its
-    /// [`CheckpointStore`]. Cuts where every rank also reports "no local
+    /// whole. Each rank then writes its blob as one epoch
+    /// (`checkpoint`). Cuts where every rank also reports "no local
     /// work" terminate the traversal directly (no trailing checkpoint).
+    pub fn do_traversal_checkpointed(&mut self, ctx: &RankCtx, spec: &CheckpointSpec) {
+        let mut exec = self.executor();
+        let mut log = spec.open_log();
+        // Start "due": the first cut fires before any visitor executes, so
+        // epoch 0 — which crash injection spares — always exists as a
+        // restore point.
+        let mut budget = 0;
+        while self.drive::<V>(&mut exec, CutPolicy::Budget(budget), None) == CutVerdict::Cut {
+            self.checkpoint(ctx, spec, &mut log, None);
+            budget = spec.every.max(1);
+        }
+    }
+
+    /// One confirmed checkpoint cut: write this rank's epoch (torn if we
+    /// are the injected victim), then — if anyone crashed — collectively
+    /// rewind every rank to the newest globally complete epoch. Collective:
+    /// all ranks enter together at a confirmed cut.
+    ///
+    /// Engines that carry loop state beside the queue snapshot (the
+    /// direction engine's level counter, direction and trace — DESIGN.md
+    /// §13) pass it as `extra`; the blob is then `[extra_len u64][extra]
+    /// [queue blob]`, else the queue blob alone. Returns `None` when no
+    /// crash fired; on a world rewind the queue is restored in place and
+    /// the restore epoch's `extra` bytes (empty without `extra`) are
+    /// returned for the caller to rewind its own state.
     ///
     /// Crash injection: the shared fault plan deterministically names at
     /// most one victim per (epoch, incarnation) — a stand-in for a perfect
     /// failure detector, so all ranks agree on the failure without extra
-    /// protocol. The victim's epoch write is torn (no commit marker); then
-    /// *all* ranks rewind to the newest epoch complete everywhere
+    /// protocol. *All* ranks rewind to the newest epoch complete everywhere
     /// (`all_reduce_min` of per-rank latest) — restoring mixed epochs
     /// across ranks would break exactly-once effects such as k-core's
     /// decrements. Wire sequence numbers are never rewound: receiver dedup
     /// windows must stay gap-free, and the restored state re-generates any
     /// undelivered work by re-execution.
-    pub fn do_traversal_checkpointed(&mut self, ctx: &RankCtx, spec: &CheckpointSpec)
-    where
-        V::Data: WireCodec<DecodeCtx = ()>,
-    {
-        if self.cfg.threads > 1 {
-            self.do_traversal_checkpointed_parallel(ctx, spec);
-            return;
-        }
-        let start = Instant::now();
-        let every = spec.every.max(1);
-        let mut store = spec.build_store();
-        let mut scratch: Vec<V> = Vec::new();
-        let mut epoch: u64 = 0;
-        let mut incarnation: u64 = 0;
-        // Start "due": the first cut fires before any visitor executes, so
-        // epoch 0 — which crash injection spares — always exists as a
-        // restore point.
-        let mut executed_since = every;
-        loop {
-            let delivered = self.check_mailbox(&mut scratch);
-            if executed_since < every {
-                let mut budget = self.cfg.poll_batch;
-                while budget > 0 && executed_since < every {
-                    let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
-                    budget -= 1;
-                    executed_since += 1;
-                    self.stats.visitors_executed += 1;
-                    let li = self.g.local_index(vis.vertex());
-                    let Self { g, mailbox, ghosts, state, stats, .. } = self;
-                    let mut pusher = Pusher { g, mailbox, ghosts, stats };
-                    vis.visit(g, &mut state[li], &mut pusher);
-                }
-            }
-            let due = executed_since >= every;
-            let no_work = delivered == 0 && self.heap.is_empty();
-            if due || no_work {
-                self.mailbox.flush();
-                let drained = self.mailbox.pending_out() == 0;
-                // `due` stays out of the flag: when every rank runs dry the
-                // cut reads as termination even if thresholds were pending.
-                let flag = no_work && drained;
-                match self.quiescence.poll_cut(
-                    self.mailbox.sent_count(),
-                    self.mailbox.received_count(),
-                    drained,
-                    flag,
-                ) {
-                    Some(true) => break,
-                    Some(false) => {
-                        self.checkpoint_cut(ctx, spec, &mut store, &mut epoch, &mut incarnation);
-                        executed_since = 0;
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
-        }
-        self.stats.elapsed += start.elapsed();
-    }
-
-    /// Multi-threaded checkpointed traversal (`cfg.threads > 1`). Chunks
-    /// are additionally bounded by the remaining checkpoint budget, so a
-    /// cut can only happen *between* chunks — i.e. with the worker pool
-    /// quiesced (every `broadcast` joins before returning) and every
-    /// staged shard absorbed. The snapshot a cut exports is therefore
-    /// exactly the coordinator's single-threaded view: same state vector,
-    /// same heap, same counters, same wire sequence numbers as a serial
-    /// rank parked at the same cut.
-    fn do_traversal_checkpointed_parallel(&mut self, ctx: &RankCtx, spec: &CheckpointSpec)
-    where
-        V::Data: WireCodec<DecodeCtx = ()>,
-    {
-        let start = Instant::now();
-        let every = spec.every.max(1);
-        let mut store = spec.build_store();
-        let pool = WorkerPool::new(self.cfg.threads);
-        let locks = AtomicBitVec::new(self.state.len());
-        let mut ledgers: PerWorker<WorkerLedger<V>> =
-            PerWorker::new_with(pool.size(), |_| WorkerLedger::default());
-        let chunk_cap = self.cfg.poll_batch.saturating_mul(pool.size()).max(1);
-        let mut chunk: Vec<V> = Vec::new();
-        let mut scratch: Vec<V> = Vec::new();
-        let mut epoch: u64 = 0;
-        let mut incarnation: u64 = 0;
-        let mut executed_since = every;
-        loop {
-            let delivered = self.check_mailbox(&mut scratch);
-            let mut executed = 0;
-            if executed_since < every {
-                let limit = chunk_cap.min((every - executed_since) as usize);
-                executed = self.run_chunk(&pool, &locks, &mut ledgers, &mut chunk, limit);
-                executed_since += executed as u64;
-            }
-            let due = executed_since >= every;
-            let no_work = delivered == 0 && executed == 0 && self.heap.is_empty();
-            if due || no_work {
-                self.mailbox.flush();
-                let drained = self.mailbox.pending_out() == 0;
-                let flag = no_work && drained;
-                match self.quiescence.poll_cut(
-                    self.mailbox.sent_count(),
-                    self.mailbox.received_count(),
-                    drained,
-                    flag,
-                ) {
-                    Some(true) => break,
-                    Some(false) => {
-                        self.checkpoint_cut(ctx, spec, &mut store, &mut epoch, &mut incarnation);
-                        executed_since = 0;
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
-        }
-        self.stats.elapsed += start.elapsed();
-    }
-
-    /// One confirmed checkpoint cut: write this rank's epoch (torn if we
-    /// are the injected victim), then — if anyone crashed — collectively
-    /// rewind every rank to the newest globally complete epoch.
-    fn checkpoint_cut(
+    pub(crate) fn checkpoint(
         &mut self,
         ctx: &RankCtx,
         spec: &CheckpointSpec,
-        store: &mut CheckpointStore,
-        epoch: &mut u64,
-        incarnation: &mut u64,
-    ) where
-        V::Data: WireCodec<DecodeCtx = ()>,
-    {
-        let blob = self.export_checkpoint().encode();
-        if let Some(bytes) = self.cut_core(ctx, spec, store, epoch, incarnation, blob) {
-            let ck = QueueCheckpoint::<V>::decode(&bytes, &self.decode_ctx)
-                .expect("committed checkpoint blob decodes");
-            self.restore_from(ck);
-        }
-    }
-
-    /// Like [`Self::checkpoint_cut`] but for engines that carry extra
-    /// per-rank loop state alongside the queue snapshot (the direction
-    /// engine's level counter, direction and trace — DESIGN.md §13). The
-    /// blob is `[extra_len u64][extra][queue blob]`; on a crash-triggered
-    /// world rewind the queue part is restored in place and the `extra`
-    /// bytes of the restore epoch are returned for the caller to rewind
-    /// its own state. Collective under the same contract as
-    /// `checkpoint_cut`: all ranks enter together at a confirmed cut.
-    pub(crate) fn round_checkpoint(
-        &mut self,
-        ctx: &RankCtx,
-        spec: &CheckpointSpec,
-        store: &mut CheckpointStore,
-        epoch: &mut u64,
-        incarnation: &mut u64,
-        extra: &[u8],
-    ) -> Option<Vec<u8>>
-    where
-        V::Data: WireCodec<DecodeCtx = ()>,
-    {
-        let queue_blob = self.export_checkpoint().encode();
-        let mut blob = Vec::with_capacity(8 + extra.len() + queue_blob.len());
-        blob.extend_from_slice(&(extra.len() as u64).to_le_bytes());
-        blob.extend_from_slice(extra);
-        blob.extend_from_slice(&queue_blob);
-        let bytes = self.cut_core(ctx, spec, store, epoch, incarnation, blob)?;
-        let extra_len = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        let ck = QueueCheckpoint::<V>::decode(&bytes[8 + extra_len..], &self.decode_ctx)
-            .expect("committed checkpoint blob decodes");
-        self.restore_from(ck);
-        Some(bytes[8..8 + extra_len].to_vec())
-    }
-
-    /// Shared body of one checkpoint cut: write this rank's epoch blob
-    /// (torn if we are the injected victim), then — if anyone crashed —
-    /// collectively agree on the newest globally complete epoch, truncate
-    /// above it and return its blob bytes so the caller can restore.
-    /// Returns `None` when no crash fired (epoch advances normally).
-    fn cut_core(
-        &mut self,
-        ctx: &RankCtx,
-        spec: &CheckpointSpec,
-        store: &mut CheckpointStore,
-        epoch: &mut u64,
-        incarnation: &mut u64,
-        blob: Vec<u8>,
+        log: &mut CheckpointLog,
+        extra: Option<&[u8]>,
     ) -> Option<Vec<u8>> {
         let t = Instant::now();
+        let CheckpointLog { store, epoch, incarnation } = log;
+        let mut blob = Vec::new();
+        if let Some(extra) = extra {
+            blob.extend_from_slice(&(extra.len() as u64).to_le_bytes());
+            blob.extend_from_slice(extra);
+        }
+        blob.extend_from_slice(&self.export_checkpoint().encode());
         let victim = ctx.crash_victim(*epoch, *incarnation);
         if victim == Some(self.rank) {
             store.write_epoch_torn(*epoch, &blob);
@@ -914,7 +798,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
                 debug_assert!(flipped, "corruption target epoch was just committed");
             }
         }
-        if victim.is_some() {
+        let restored = if victim.is_some() {
             // Walk past torn *and* silently corrupt epochs: a committed
             // blob failing its checksum is treated exactly like a torn
             // one, but counted — the restore-fallback telemetry.
@@ -933,8 +817,14 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
             self.mailbox.channel_stats().record_restore(self.rank);
             *incarnation += 1;
             *epoch = target + 1;
-            self.stats.checkpoint_time += t.elapsed();
-            Some(bytes)
+            let (extra_at, queue_at) = match extra {
+                Some(_) => (8, 8 + u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize),
+                None => (0, 0),
+            };
+            let ck = QueueCheckpoint::<V>::decode(&bytes[queue_at..], &self.decode_ctx)
+                .expect("committed checkpoint blob decodes");
+            self.restore_from(ck);
+            Some(bytes[extra_at..queue_at].to_vec())
         } else {
             *epoch += 1;
             // Post-cut barrier: without it a fast rank resumes executing
@@ -946,16 +836,16 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
             // counter increments) turn into wrong answers. The crash
             // branch above is already synchronized by `all_reduce_min`.
             ctx.barrier();
-            self.stats.checkpoint_time += t.elapsed();
             None
-        }
+        };
+        let spent = t.elapsed();
+        self.stats.checkpoint_time += spent;
+        self.stats.elapsed += spent;
+        restored
     }
 
     /// Freeze this rank's traversal state at a confirmed cut.
-    fn export_checkpoint(&self) -> QueueCheckpoint<V>
-    where
-        V::Data: WireCodec<DecodeCtx = ()>,
-    {
+    fn export_checkpoint(&self) -> QueueCheckpoint<V> {
         QueueCheckpoint {
             state: self.state.clone(),
             ghosts: self.ghosts.export(),
@@ -1047,35 +937,42 @@ impl<'a, V: Visitor + WireCodec> VisitorPush<V> for Pusher<'a, V> {
     }
 }
 
-/// Per-worker scratch for one parallel traversal: the staged outgoing
-/// pushes plus the worker's share of the execution counters, merged into
-/// [`TraversalStats`] by the coordinator when it absorbs the shard.
-struct WorkerLedger<V: Visitor + WireCodec> {
+/// Worker-side push sink: resolves the destination rank immediately (the
+/// graph's ownership map is immutable and thread-safe) and stages the
+/// visitor in its own [`SendShard`], deferring the ghost filter and the
+/// mailbox — both single-threaded — to the coordinator's absorb pass.
+pub(crate) struct ShardPusher<'g, V: Visitor + WireCodec> {
+    g: &'g DistGraph,
     shard: SendShard<V>,
-    executed: u64,
     pushed: u64,
 }
 
-impl<V: Visitor + WireCodec> Default for WorkerLedger<V> {
-    fn default() -> Self {
-        WorkerLedger { shard: SendShard::default(), executed: 0, pushed: 0 }
+impl<'g, V: Visitor + WireCodec> ShardPusher<'g, V> {
+    pub(crate) fn new(g: &'g DistGraph) -> Self {
+        Self { g, shard: SendShard::default(), pushed: 0 }
     }
 }
 
-/// Worker-side pusher: resolves the destination rank immediately (the
-/// graph's ownership map is immutable and thread-safe) but defers the
-/// ghost filter and the mailbox — both single-threaded — to the
-/// coordinator's absorb pass.
-struct ShardPusher<'a, V: Visitor + WireCodec> {
-    g: &'a DistGraph,
-    shard: &'a mut SendShard<V>,
-    pushed: &'a mut u64,
+impl<'g, V: Visitor + WireCodec> VisitorPush<V> for ShardPusher<'g, V> {
+    fn push(&mut self, visitor: V) {
+        self.pushed += 1;
+        self.shard.send(self.g.min_owner(visitor.vertex()), visitor);
+    }
 }
 
-impl<'a, V: Visitor + WireCodec> VisitorPush<V> for ShardPusher<'a, V> {
-    fn push(&mut self, visitor: V) {
-        *self.pushed += 1;
-        self.shard.send(self.g.min_owner(visitor.vertex()), visitor);
+/// Drain one worker's staged pushes, in staging order, through the tail of
+/// the serial push path (push count, ghost filter, mailbox).
+fn absorb_shard<V: Visitor + WireCodec>(
+    mailbox: &mut Mailbox<V>,
+    ghosts: &mut GhostTable<V::Data>,
+    stats: &mut TraversalStats,
+    sink: &mut ShardPusher<'_, V>,
+) {
+    stats.visitors_pushed += std::mem::take(&mut sink.pushed);
+    for (dst, visitor) in sink.shard.drain() {
+        if ghost_pass::<V>(ghosts, stats, &visitor) {
+            mailbox.send(dst, visitor);
+        }
     }
 }
 
@@ -1164,8 +1061,31 @@ mod tests {
         (0..n).flat_map(|v| [Edge::new(v, (v + 1) % n), Edge::new((v + 1) % n, v)]).collect()
     }
 
-    fn run_flood(p: usize, edges: &[Edge], cfg: TraversalConfig) -> u64 {
-        let marked = CommWorld::run(p, |ctx| {
+    /// World sums of one flood from vertex 0: marked masters, then the
+    /// queue's deterministic counters, then its checkpoint counters.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct FloodRun {
+        marked: u64,
+        /// executed, pushed, ghost_checked, ghost_filtered, replica_forwards
+        queue: [u64; 5],
+        /// payload_sent, payload_received (mailbox side: never rewound)
+        payload: [u64; 2],
+        checkpoints: u64,
+        crashes: u64,
+        restores: u64,
+        fallbacks: u64,
+    }
+
+    /// The one world set-up: build the graph on `p` ranks, flood from
+    /// vertex 0 under `cfg` / `spec` / `faults`, all-reduce what happened.
+    fn flood_world(
+        p: usize,
+        edges: &[Edge],
+        cfg: TraversalConfig,
+        spec: Option<CheckpointSpec>,
+        faults: Option<havoq_comm::FaultConfig>,
+    ) -> FloodRun {
+        let out = CommWorld::run_with_faults(p, faults, |ctx| {
             let g = DistGraph::build_replicated(
                 ctx,
                 edges,
@@ -1176,33 +1096,41 @@ mod tests {
             if g.is_master(VertexId(0)) {
                 q.push(Flood { vertex: VertexId(0) });
             }
-            q.do_traversal();
-            // count marked masters
-            let local: u64 = g
+            q.traverse(ctx, spec.as_ref());
+            let s = q.stats();
+            let marked = g
                 .local_vertices()
                 .filter(|&v| g.is_master(v) && q.state()[g.local_index(v)].marked)
                 .count() as u64;
-            ctx.all_reduce_sum(local)
+            let sum = |v: u64| ctx.all_reduce_sum(v);
+            FloodRun {
+                marked: sum(marked),
+                queue: [
+                    s.visitors_executed,
+                    s.visitors_pushed,
+                    s.ghost_checked,
+                    s.ghost_filtered,
+                    s.replica_forwards,
+                ]
+                .map(sum),
+                payload: [s.payload_sent, s.payload_received].map(sum),
+                checkpoints: sum(s.checkpoints_written),
+                crashes: sum(s.crashes),
+                restores: sum(s.restores),
+                fallbacks: sum(s.restore_epoch_fallbacks),
+            }
         });
-        marked[0]
+        out[0]
     }
 
-    #[test]
-    fn flood_reaches_whole_ring() {
-        let edges = ring_edges(64);
-        for p in [1usize, 2, 4, 5] {
-            assert_eq!(run_flood(p, &edges, TraversalConfig::default()), 64, "p={p}");
-        }
+    fn run_flood(p: usize, edges: &[Edge], cfg: TraversalConfig) -> u64 {
+        flood_world(p, edges, cfg, None, None).marked
     }
 
-    #[test]
-    fn flood_on_rmat_visits_reachable_set() {
-        let gen = RmatGenerator::graph500(9);
-        let edges = gen.symmetric_edges(77);
-        // serial reachability reference from vertex 0
-        let n = gen.num_vertices();
+    /// Serial reachability reference from vertex 0.
+    fn reachable_from_zero(n: u64, edges: &[Edge]) -> u64 {
         let mut adj = vec![Vec::new(); n as usize];
-        for e in &edges {
+        for e in edges {
             if !e.is_self_loop() {
                 adj[e.src as usize].push(e.dst);
             }
@@ -1218,7 +1146,22 @@ mod tests {
                 }
             }
         }
-        let expect = seen.iter().filter(|&&s| s).count() as u64;
+        seen.iter().filter(|&&s| s).count() as u64
+    }
+
+    #[test]
+    fn flood_reaches_whole_ring() {
+        let edges = ring_edges(64);
+        for p in [1usize, 2, 4, 5] {
+            assert_eq!(run_flood(p, &edges, TraversalConfig::default()), 64, "p={p}");
+        }
+    }
+
+    #[test]
+    fn flood_on_rmat_visits_reachable_set() {
+        let gen = RmatGenerator::graph500(9);
+        let edges = gen.symmetric_edges(77);
+        let expect = reachable_from_zero(gen.num_vertices(), &edges);
         for p in [1usize, 4] {
             assert_eq!(run_flood(p, &edges, TraversalConfig::default()), expect, "p={p}");
         }
@@ -1342,195 +1285,72 @@ mod tests {
         assert_eq!(count(true), count(false), "ordering is a performance knob only");
     }
 
-    /// Drive a flood with checkpointing and return (marked, per-world sums
-    /// of checkpoints written, crashes, restores).
-    fn run_flood_checkpointed(
-        p: usize,
-        edges: &[Edge],
-        every: u64,
-        faults: Option<havoq_comm::FaultConfig>,
-    ) -> (u64, u64, u64, u64) {
-        let out = CommWorld::run_with_faults(p, faults, |ctx| {
-            let g = DistGraph::build_replicated(
-                ctx,
-                edges,
-                PartitionStrategy::EdgeList,
-                GraphConfig::default(),
-            );
-            let mut q = VisitorQueue::<Flood>::new(ctx, &g, TraversalConfig::default());
-            if g.is_master(VertexId(0)) {
-                q.push(Flood { vertex: VertexId(0) });
-            }
-            let spec = crate::checkpoint::CheckpointSpec::default().with_every(every);
-            q.do_traversal_checkpointed(ctx, &spec);
-            let s = q.stats();
-            let marked: u64 = g
-                .local_vertices()
-                .filter(|&v| g.is_master(v) && q.state()[g.local_index(v)].marked)
-                .count() as u64;
-            (
-                ctx.all_reduce_sum(marked),
-                ctx.all_reduce_sum(s.checkpoints_written),
-                ctx.all_reduce_sum(s.crashes),
-                ctx.all_reduce_sum(s.restores),
-            )
-        });
-        out[0]
-    }
-
+    /// The driver's executor × cut-policy table (DESIGN.md "The driver") on
+    /// the `Flood` visitor, whose counters are fully deterministic:
+    /// marking is idempotent and ghost slots converge to "marked"
+    /// regardless of interleaving, so every cell must reproduce the inline
+    /// × terminate row of the same rank count exactly — merged per-worker
+    /// cells, budget-capped chunks and crash/restore replay included.
     #[test]
-    fn checkpointed_traversal_matches_plain() {
-        let edges = ring_edges(64);
-        for p in [1usize, 2, 4] {
-            let (marked, ckpts, crashes, restores) = run_flood_checkpointed(p, &edges, 8, None);
-            assert_eq!(marked, 64, "p={p}");
-            assert!(ckpts >= p as u64, "every rank writes at least epoch 0 (p={p})");
-            assert_eq!((crashes, restores), (0, 0), "fault-free run (p={p})");
+    fn driver_table_matches_inline_terminate_row() {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Cut {
+            Terminate,
+            Every8,
+            /// rank p-1 tears epoch 2 as the forced crash victim
+            Crash,
+            /// …and rank 0's committed epoch 2 is silently damaged too
+            /// (payload flip through the cache): rank 0 must skip its
+            /// corrupt blob — exactly one counted fallback — and the world
+            /// agrees on epoch 1
+            CrashAndCorruptEpoch,
         }
-    }
-
-    #[test]
-    fn forced_crash_restores_and_converges() {
-        let edges = ring_edges(64);
-        for p in [2usize, 4] {
-            let faults = havoq_comm::FaultConfig::quiet(7).with_forced_crash(p - 1, 2);
-            let (marked, _ckpts, crashes, restores) =
-                run_flood_checkpointed(p, &edges, 8, Some(faults));
-            assert_eq!(marked, 64, "resumed flood reaches whole ring (p={p})");
-            assert_eq!(crashes, 1, "exactly one torn epoch (p={p})");
-            assert_eq!(restores, p as u64, "every rank rewinds together (p={p})");
-        }
-    }
-
-    #[test]
-    fn corrupt_committed_checkpoint_falls_back_one_epoch() {
-        // Rank 0 commits epoch 2 and then its blob is silently damaged
-        // (payload flip through the cache); rank p-1 tears epoch 2 as the
-        // forced crash victim. At restore rank 0 must skip its corrupt
-        // blob — exactly one counted fallback — and the world agrees on
-        // epoch 1; the rewound traversal still floods the whole ring.
-        let edges = ring_edges(64);
-        for p in [2usize, 4] {
-            let faults = havoq_comm::FaultConfig::quiet(7).with_forced_crash(p - 1, 2);
-            let out = CommWorld::run_with_faults(p, Some(faults), |ctx| {
-                let g = DistGraph::build_replicated(
-                    ctx,
-                    &edges,
-                    PartitionStrategy::EdgeList,
-                    GraphConfig::default(),
-                );
-                let mut q = VisitorQueue::<Flood>::new(ctx, &g, TraversalConfig::default());
-                if g.is_master(VertexId(0)) {
-                    q.push(Flood { vertex: VertexId(0) });
-                }
-                let spec = crate::checkpoint::CheckpointSpec::default()
-                    .with_every(8)
-                    .with_corrupt_committed(0, 2);
-                q.do_traversal_checkpointed(ctx, &spec);
-                let s = q.stats();
-                let marked: u64 = g
-                    .local_vertices()
-                    .filter(|&v| g.is_master(v) && q.state()[g.local_index(v)].marked)
-                    .count() as u64;
-                (
-                    ctx.all_reduce_sum(marked),
-                    ctx.all_reduce_sum(s.crashes),
-                    ctx.all_reduce_sum(s.restores),
-                    ctx.all_reduce_sum(s.restore_epoch_fallbacks),
-                )
-            });
-            let (marked, crashes, restores, fallbacks) = out[0];
-            assert_eq!(marked, 64, "traversal completes from the earlier epoch (p={p})");
-            assert_eq!(crashes, 1, "p={p}");
-            assert_eq!(restores, p as u64, "p={p}");
-            assert_eq!(fallbacks, 1, "rank 0 skipped exactly its corrupt blob (p={p})");
-        }
-    }
-
-    /// Satellite check for the intra-rank worker pool: the Flood visitor's
-    /// traversal counters are fully deterministic (marking is idempotent
-    /// and ghost slots converge to "marked" regardless of interleaving),
-    /// so the merged per-worker stat cells must reproduce the serial
-    /// counts exactly at every thread count.
-    #[test]
-    fn parallel_stats_match_serial_exactly() {
-        let gen = RmatGenerator::graph500(8);
-        let edges = gen.symmetric_edges(21);
-        let run = |threads: usize| {
-            let out = CommWorld::run(2, |ctx| {
-                let g = DistGraph::build_replicated(
-                    ctx,
-                    &edges,
-                    PartitionStrategy::EdgeList,
-                    GraphConfig::default(),
-                );
-                let cfg = TraversalConfig::default().with_threads(threads);
-                let mut q = VisitorQueue::<Flood>::new(ctx, &g, cfg);
-                if g.is_master(VertexId(0)) {
-                    q.push(Flood { vertex: VertexId(0) });
-                }
-                q.do_traversal();
-                let s = q.stats();
-                let marked: u64 = g
-                    .local_vertices()
-                    .filter(|&v| g.is_master(v) && q.state()[g.local_index(v)].marked)
-                    .count() as u64;
-                (
-                    ctx.all_reduce_sum(marked),
-                    ctx.all_reduce_sum(s.visitors_executed),
-                    ctx.all_reduce_sum(s.visitors_pushed),
-                    ctx.all_reduce_sum(s.ghost_checked),
-                    ctx.all_reduce_sum(s.ghost_filtered),
-                    ctx.all_reduce_sum(s.replica_forwards),
-                    ctx.all_reduce_sum(s.payload_sent),
-                    ctx.all_reduce_sum(s.payload_received),
-                )
-            });
-            out[0]
-        };
-        let serial = run(1);
-        for threads in [2usize, 4] {
-            assert_eq!(run(threads), serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_checkpointed_flood_converges_through_crash() {
-        let edges = ring_edges(64);
-        for p in [2usize, 4] {
-            let out = CommWorld::run_with_faults(
-                p,
-                Some(havoq_comm::FaultConfig::quiet(7).with_forced_crash(p - 1, 2)),
-                |ctx| {
-                    let g = DistGraph::build_replicated(
-                        ctx,
-                        &edges,
-                        PartitionStrategy::EdgeList,
-                        GraphConfig::default(),
-                    );
-                    let cfg = TraversalConfig::default().with_threads(4);
-                    let mut q = VisitorQueue::<Flood>::new(ctx, &g, cfg);
-                    if g.is_master(VertexId(0)) {
-                        q.push(Flood { vertex: VertexId(0) });
+        let rmat = RmatGenerator::graph500(8);
+        let rmat_edges = rmat.symmetric_edges(21);
+        let graphs = [
+            (ring_edges(64), 64),
+            (rmat_edges.clone(), reachable_from_zero(rmat.num_vertices(), &rmat_edges)),
+        ];
+        for (edges, reachable) in &graphs {
+            for p in [1usize, 2, 4] {
+                let base = flood_world(p, edges, TraversalConfig::default(), None, None);
+                assert_eq!(base.marked, *reachable, "p={p}");
+                for threads in [1usize, 2, 4] {
+                    for cut in [Cut::Terminate, Cut::Every8, Cut::Crash, Cut::CrashAndCorruptEpoch]
+                    {
+                        let crash = matches!(cut, Cut::Crash | Cut::CrashAndCorruptEpoch);
+                        if crash && p == 1 {
+                            continue; // victim and survivor must be two ranks
+                        }
+                        let every8 = CheckpointSpec::default().with_every(8);
+                        let spec = match cut {
+                            Cut::Terminate => None,
+                            Cut::Every8 | Cut::Crash => Some(every8),
+                            Cut::CrashAndCorruptEpoch => Some(every8.with_corrupt_committed(0, 2)),
+                        };
+                        let faults = crash
+                            .then(|| havoq_comm::FaultConfig::quiet(7).with_forced_crash(p - 1, 2));
+                        let cfg = TraversalConfig::default().with_threads(threads);
+                        let run = flood_world(p, edges, cfg, spec, faults);
+                        let cell = format!("p={p} threads={threads} {cut:?}");
+                        assert_eq!(run.marked, *reachable, "{cell}");
+                        assert_eq!(run.queue, base.queue, "{cell}");
+                        if crash {
+                            assert_eq!(run.crashes, 1, "exactly one torn epoch ({cell})");
+                            assert_eq!(run.restores, p as u64, "all ranks rewind ({cell})");
+                            let skipped = (cut == Cut::CrashAndCorruptEpoch) as u64;
+                            assert_eq!(run.fallbacks, skipped, "{cell}");
+                        } else {
+                            assert_eq!(run.payload, base.payload, "{cell}");
+                            assert_eq!((run.crashes, run.restores, run.fallbacks), (0, 0, 0));
+                        }
+                        match cut {
+                            Cut::Terminate => assert_eq!(run.checkpoints, 0, "{cell}"),
+                            _ => assert!(run.checkpoints >= p as u64, "epoch 0 at least ({cell})"),
+                        }
                     }
-                    let spec = crate::checkpoint::CheckpointSpec::default().with_every(8);
-                    q.do_traversal_checkpointed(ctx, &spec);
-                    let s = q.stats();
-                    let marked: u64 = g
-                        .local_vertices()
-                        .filter(|&v| g.is_master(v) && q.state()[g.local_index(v)].marked)
-                        .count() as u64;
-                    (
-                        ctx.all_reduce_sum(marked),
-                        ctx.all_reduce_sum(s.crashes),
-                        ctx.all_reduce_sum(s.restores),
-                    )
-                },
-            );
-            let (marked, crashes, restores) = out[0];
-            assert_eq!(marked, 64, "threads=4 resumed flood reaches whole ring (p={p})");
-            assert_eq!(crashes, 1, "p={p}");
-            assert_eq!(restores, p as u64, "p={p}");
+                }
+            }
         }
     }
 

@@ -13,13 +13,17 @@
 //! - [`AtomicBitVec`]: a bit-per-index atomic bitmap, usable both as a
 //!   visited/dirty set (`test_and_set`) and as an array of one-bit
 //!   spinlocks (`lock`/`unlock`) guarding per-vertex state slots.
-//! - [`SharedSlots`]: an unsafe-interior view of a `Vec<T>` letting
-//!   workers mutate *disjoint* (caller-locked) slots concurrently.
+//! - [`LockedSlots`]: a view of a `&mut [T]` paired with one bit lock per
+//!   slot; workers reach a slot only through `with`, under its lock.
 //! - [`PerWorker`]: cache-padded per-worker cells (send shards, stat
-//!   counters) written race-free by index and drained by the coordinator.
+//!   counters), filled by [`WorkerPool::fan_out`] — worker `w` writes cell
+//!   `w`, then the coordinator absorbs the cells in worker order.
+//!
+//! All `unsafe` of the intra-rank parallel paths lives in this file; the
+//! traversal core (`havoq-core`) calls only the safe entry points above.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -125,9 +129,22 @@ impl AtomicBitVec {
     }
 
     /// Visit the index of every set bit, in increasing order.
-    pub fn for_each_set(&self, mut f: impl FnMut(usize)) {
-        for (wi, w) in self.words.iter().enumerate() {
-            let mut bits = w.load(Ordering::Acquire);
+    pub fn for_each_set(&self, f: impl FnMut(usize)) {
+        self.for_each_set_in(0..self.bits, f);
+    }
+
+    /// Visit the index of every set bit inside `range`, in increasing
+    /// order, a word at a time.
+    pub fn for_each_set_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
+        debug_assert!(range.end <= self.bits);
+        for wi in range.start / 64..range.end.div_ceil(64) {
+            let mut bits = self.words[wi].load(Ordering::Acquire);
+            if wi == range.start / 64 {
+                bits &= !0u64 << (range.start % 64);
+            }
+            if wi == range.end / 64 {
+                bits &= (1u64 << (range.end % 64)) - 1;
+            }
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 f(wi * 64 + b);
@@ -137,56 +154,69 @@ impl AtomicBitVec {
     }
 }
 
-/// A shared mutable view over the slots of a `Vec<T>`.
+/// A shared view over the slots of a `&mut [T]`, each guarded by one bit
+/// of an [`AtomicBitVec`] used as a spinlock.
 ///
-/// Workers holding the matching per-slot lock (an [`AtomicBitVec`] bit)
-/// may mutate "their" slot concurrently with other workers mutating other
-/// slots. The view borrows the vec mutably, so the coordinator cannot
-/// touch the storage while any `SharedSlots` is alive.
-pub struct SharedSlots<'a, T> {
+/// Workers mutate slots concurrently through [`LockedSlots::with`], which
+/// holds slot `i`'s lock for exactly the duration of the closure. Critical
+/// sections must stay short (a slot copy or merge) and must not re-enter
+/// `with` on the same slot, which would spin forever.
+pub struct LockedSlots<'a, T> {
     ptr: *mut T,
     len: usize,
+    locks: &'a AtomicBitVec,
     _marker: std::marker::PhantomData<&'a mut [T]>,
 }
 
-// Safety: access discipline is delegated to the caller (each slot must be
-// reached by at most one thread at a time, enforced by the bit-locks), so
-// sharing the view only requires the element type to cross threads.
-unsafe impl<T: Send> Sync for SharedSlots<'_, T> {}
-unsafe impl<T: Send> Send for SharedSlots<'_, T> {}
+// SAFETY: the only access to the pointee is `with`, which hands out at most
+// one `&mut T` per slot at a time (see there); `T: Send` because that
+// reference is used on whichever thread won the lock. `locks` is a shared
+// reference to atomics.
+unsafe impl<T: Send> Sync for LockedSlots<'_, T> {}
+unsafe impl<T: Send> Send for LockedSlots<'_, T> {}
 
-impl<'a, T> SharedSlots<'a, T> {
-    pub fn new(slots: &'a mut [T]) -> Self {
-        Self { ptr: slots.as_mut_ptr(), len: slots.len(), _marker: std::marker::PhantomData }
+impl<'a, T> LockedSlots<'a, T> {
+    /// Guard `slots[i]` with bit `i` of `locks`. Both are borrowed
+    /// exclusively for `'a`, so while the view lives nothing else can reach
+    /// the storage or release a lock bit behind `with`'s back.
+    pub fn new(slots: &'a mut [T], locks: &'a mut AtomicBitVec) -> Self {
+        assert!(locks.len() >= slots.len(), "one lock bit per slot");
+        Self { ptr: slots.as_mut_ptr(), len: slots.len(), locks, _marker: std::marker::PhantomData }
     }
 
-    /// Mutable access to slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee exclusive access to slot `i` for the
-    /// lifetime of the returned borrow (hold the slot's bit-lock, or be
-    /// the only thread running).
+    /// Run `f` on slot `i` under the slot's lock.
     #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slot(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len);
-        &mut *self.ptr.add(i)
+    pub fn with<R>(&self, i: usize, f: impl FnOnce(&mut T) -> R) -> R {
+        struct Unlock<'l>(&'l AtomicBitVec, usize);
+        impl Drop for Unlock<'_> {
+            fn drop(&mut self) {
+                self.0.unlock(self.1);
+            }
+        }
+        assert!(i < self.len, "slot {i} out of range {}", self.len);
+        self.locks.lock(i);
+        // released on unwind too, so a panicking `f` cannot wedge its peers
+        let _held = Unlock(self.locks, i);
+        // SAFETY: `i < len`, so the pointer stays inside the slice borrowed
+        // for `'a`. Bit `i` is set from the winning `test_and_set` (AcqRel)
+        // until `_held` clears it (Release), and only this method touches
+        // the bits (`new` took them by `&mut`), so no second thread is
+        // inside this block for the same `i` and the previous holder's
+        // writes are visible. The reference cannot outlive the lock: `f`
+        // must accept any lifetime, so it cannot store it.
+        f(unsafe { &mut *self.ptr.add(i) })
     }
 }
 
-/// One cache-padded cell per worker, written by index from worker threads
-/// and drained by the coordinator.
-///
-/// The unsafe shared access ([`PerWorker::cell`]) is race-free by the same
-/// convention the pool enforces: worker `w` is the only thread that ever
-/// touches cell `w` while a broadcast is running, and the coordinator only
-/// drains after the broadcast returns.
+/// One cache-padded cell per worker, written by worker `w` during a
+/// [`WorkerPool::fan_out`] and read by the coordinator afterwards.
 pub struct PerWorker<T> {
     cells: Vec<CachePadded<std::cell::UnsafeCell<T>>>,
 }
 
-// Safety: per-index exclusivity is the caller's contract (see above).
+// SAFETY: the only shared access is `cell`, private to this module and
+// called only from `WorkerPool::fan_out`, which gives each worker thread a
+// distinct index; `T: Send` because the cell is then mutated off-thread.
 unsafe impl<T: Send> Sync for PerWorker<T> {}
 
 impl<T> PerWorker<T> {
@@ -204,22 +234,14 @@ impl<T> PerWorker<T> {
         self.cells.is_empty()
     }
 
-    /// Mutable access to cell `w` from worker `w`.
-    ///
     /// # Safety
     ///
     /// The caller must be the only thread accessing cell `w` for the
     /// lifetime of the returned borrow.
     #[inline]
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn cell(&self, w: usize) -> &mut T {
+    unsafe fn cell(&self, w: usize) -> &mut T {
         &mut *self.cells[w].0.get()
-    }
-
-    /// Exclusive (coordinator-side) access to cell `w`.
-    #[inline]
-    pub fn cell_mut(&mut self, w: usize) -> &mut T {
-        self.cells[w].0.get_mut()
     }
 
     /// Exclusive (coordinator-side) iteration over all cells.
@@ -358,6 +380,61 @@ impl WorkerPool {
             resume_unwind(p);
         }
     }
+
+    /// Run `work(w, &mut cells[w])` on every worker concurrently, then
+    /// `absorb(&mut cells[w])` on the calling thread in worker order — so
+    /// whatever the workers staged reaches single-threaded code (ghost
+    /// filter, mailbox) as one deterministic stream per thread count. A
+    /// worker panic is re-raised before any cell is absorbed.
+    pub fn fan_out<T: Send>(
+        &self,
+        cells: &mut PerWorker<T>,
+        work: impl Fn(usize, &mut T) + Sync,
+        absorb: impl FnMut(&mut T),
+    ) {
+        assert_eq!(cells.len(), self.size(), "one cell per worker");
+        let shared: &PerWorker<T> = cells;
+        self.broadcast(&|w| {
+            // SAFETY: `broadcast` runs this closure once on each worker
+            // thread with that worker's own index `w < size() ==
+            // cells.len()`, so no two threads share a cell, and the `&mut
+            // PerWorker` this function holds keeps every other access out
+            // until `broadcast` has joined all workers.
+            work(w, unsafe { shared.cell(w) })
+        });
+        cells.iter_mut().for_each(absorb);
+    }
+
+    /// [`Self::fan_out`] over a slice: workers claim blocks of `items` off
+    /// a shared cursor and run `work(&mut cells[w], item)` on each. With no
+    /// items nothing runs, `absorb` included.
+    pub fn fan_out_blocks<I: Sync, T: Send>(
+        &self,
+        items: &[I],
+        cells: &mut PerWorker<T>,
+        work: impl Fn(&mut T, &I) + Sync,
+        absorb: impl FnMut(&mut T),
+    ) {
+        // Small blocks keep load balance when per-item cost varies (page
+        // faults, skewed degrees) without cursor contention.
+        const BLOCK: usize = 16;
+        if items.is_empty() {
+            return;
+        }
+        let cursor = AtomicUsize::new(0);
+        self.fan_out(
+            cells,
+            |_, cell| loop {
+                let begin = cursor.fetch_add(BLOCK, Ordering::Relaxed);
+                if begin >= items.len() {
+                    break;
+                }
+                let end = (begin + BLOCK).min(items.len());
+                items[begin..end].iter().for_each(|item| work(cell, item));
+            },
+            absorb,
+        );
+    }
 }
 
 impl Drop for WorkerPool {
@@ -378,7 +455,6 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn bitvec_set_get_clear() {
@@ -403,29 +479,13 @@ mod tests {
         let mut seen = Vec::new();
         b.for_each_set(|i| seen.push(i));
         assert_eq!(seen, vec![64, 66, 129]);
+        for (range, expect) in [(0..64, vec![]), (64..66, vec![64]), (65..130, vec![66, 129])] {
+            seen.clear();
+            b.for_each_set_in(range, |i| seen.push(i));
+            assert_eq!(seen, expect);
+        }
         b.clear_all();
         assert_eq!(b.word(0) | b.word(1) | b.word(2), 0);
-    }
-
-    #[test]
-    fn bitvec_spinlock_excludes() {
-        let bits = AtomicBitVec::new(8);
-        let mut count = 0u64;
-        {
-            let slots = SharedSlots::new(std::slice::from_mut(&mut count));
-            std::thread::scope(|s| {
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        for _ in 0..10_000 {
-                            bits.lock(3);
-                            unsafe { *slots.slot(0) += 1 };
-                            bits.unlock(3);
-                        }
-                    });
-                }
-            });
-        }
-        assert_eq!(count, 40_000);
     }
 
     #[test]
@@ -474,54 +534,73 @@ mod tests {
         assert_eq!(ok.load(Ordering::Relaxed), 2);
     }
 
+    /// Stress test for the two helpers that own this file's worker-side
+    /// `unsafe` (`fan_out` → `PerWorker::cell`, `LockedSlots::with`).
+    ///
+    /// The safety argument, in one place. (1) `fan_out` hands cell `w` to
+    /// worker `w` only, and holds `&mut PerWorker` across the broadcast, so
+    /// each cell has one writer and the coordinator reads after the join.
+    /// (2) `LockedSlots::with` admits one thread per slot: the bit lock is
+    /// taken AcqRel and released Release, the slice and the lock bits are
+    /// both borrowed `&mut` for the view's lifetime so no other path to
+    /// either exists, the index is bounds-checked, and the closure cannot
+    /// keep the reference. A violation of (1) loses per-cell counts; a
+    /// violation of (2) loses increments on the contended slots — both are
+    /// exact-sum assertions below. (Passing does not prove soundness; the
+    /// arguments above do. The test is what would catch an edit that
+    /// breaks them.)
     #[test]
-    fn shared_slots_disjoint_writes_land() {
+    fn fan_out_and_locked_slots_stress() {
         let pool = WorkerPool::new(4);
-        let mut data = vec![0u64; 64];
-        {
-            let slots = SharedSlots::new(&mut data);
-            pool.broadcast(&|w| {
-                for i in (w..64).step_by(4) {
-                    // disjoint by construction: worker w owns i ≡ w (mod 4)
-                    unsafe { *slots.slot(i) = i as u64 * 10 };
-                }
-            });
-        }
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u64 * 10);
-        }
-    }
 
-    #[test]
-    fn shared_slots_locked_increments_are_exact() {
-        let pool = WorkerPool::new(4);
+        // 0 items: nothing runs, not even absorb
+        let mut cells: PerWorker<u64> = PerWorker::new_with(4, |_| 0);
+        pool.fan_out_blocks(&[] as &[u32], &mut cells, |c, _| *c += 1, |_| panic!("absorbed"));
+
+        // fewer items than workers: every item runs exactly once
+        let mut absorbed = Vec::new();
+        pool.fan_out_blocks(&[10u64, 20], &mut cells, |c, x| *c += x, |c| absorbed.push(*c));
+        assert_eq!(absorbed.len(), 4, "absorb visits every cell, in worker order");
+        assert_eq!(absorbed.iter().sum::<u64>(), 30);
+
+        // 10^5 increments contended over 8 slots sum exactly, and the
+        // per-worker tallies of who did them sum exactly too
+        let items: Vec<usize> = (0..100_000).collect();
         let mut data = vec![0u64; 8];
-        let locks = AtomicBitVec::new(8);
+        let mut locks = AtomicBitVec::new(8);
+        let mut cells: PerWorker<u64> = PerWorker::new_with(4, |_| 0);
+        let mut tallied = 0u64;
         {
-            let slots = SharedSlots::new(&mut data);
-            pool.broadcast(&|_| {
-                for _ in 0..5_000 {
-                    for i in 0..8 {
-                        locks.lock(i);
-                        unsafe { *slots.slot(i) += 1 };
-                        locks.unlock(i);
-                    }
-                }
-            });
+            let slots = LockedSlots::new(&mut data, &mut locks);
+            pool.fan_out_blocks(
+                &items,
+                &mut cells,
+                |c, &i| {
+                    slots.with(i % 8, |s| *s += 1);
+                    *c += 1;
+                },
+                |c| tallied += std::mem::take(c),
+            );
         }
-        assert_eq!(data, vec![20_000u64; 8]);
-    }
+        assert_eq!(data, vec![12_500u64; 8]);
+        assert_eq!(tallied, 100_000);
 
-    #[test]
-    fn per_worker_cells_drain_to_coordinator() {
-        let pool = WorkerPool::new(4);
-        let cells: PerWorker<u64> = PerWorker::new_with(4, |_| 0);
-        pool.broadcast(&|w| {
-            for _ in 0..1000 {
-                unsafe { *cells.cell(w) += 1 };
-            }
-        });
-        let mut cells = cells;
-        assert_eq!(cells.iter_mut().map(|c| *c).sum::<u64>(), 4000);
+        // a panicking worker propagates (releasing the slot lock it held),
+        // no cell is absorbed, and the pool is reusable afterwards
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            let slots = LockedSlots::new(&mut data, &mut locks);
+            pool.fan_out(
+                &mut cells,
+                |w, _| slots.with(0, |_| assert_ne!(w, 2, "deliberate worker failure")),
+                |_| panic!("absorbed after a worker panic"),
+            );
+        }));
+        assert!(res.is_err());
+        let slots = LockedSlots::new(&mut data, &mut locks);
+        pool.fan_out(&mut cells, |w, c| *c = slots.with(0, |s| *s) + w as u64, |_| {});
+        assert_eq!(
+            cells.iter_mut().map(|c| *c).collect::<Vec<_>>(),
+            [12_500, 12_501, 12_502, 12_503]
+        );
     }
 }

@@ -214,6 +214,28 @@ fn batched_bfs_equivalent_across_storages() {
     }
 }
 
+/// The storage-layer counters are folded in by `VisitorQueue::stats()`, so
+/// every engine on the queue reports them, not only `bfs`: a batched run
+/// over compressed storage must show the gap decoder's work on every rank.
+#[test]
+fn batched_bfs_reports_storage_counters_on_compressed() {
+    let (edges, n) = sweep_edges();
+    let sources = batch_sources(&edges, 8);
+    let stats = CommWorld::run(2, |ctx| {
+        let g = DistGraph::build_replicated(
+            ctx,
+            &edges,
+            PartitionStrategy::EdgeList,
+            compressed_config().with_num_vertices(n),
+        );
+        bfs_batch::<8>(ctx, &g, &sources, &BatchConfig::default()).stats
+    });
+    for (rank, s) in stats.iter().enumerate() {
+        assert!(s.adj_decodes > 0, "rank {rank}: bfs_batch reported no adjacency decodes");
+        assert!(s.adj_decoded_bytes > 0 && s.edge_bytes_encoded > 0, "rank {rank}");
+    }
+}
+
 /// The acceptance chaos sweep on compressed storage: 16 seeded chaos plans
 /// must reproduce the in-memory fault-free fingerprint bit for bit, and
 /// the adversary must actually have fired across the sweep.
