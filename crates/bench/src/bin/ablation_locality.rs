@@ -48,15 +48,15 @@ fn main() {
             let mut bcfg = BfsConfig::default();
             bcfg.traversal.locality_order = locality;
             let r = bfs(ctx, &g, VertexId(0), &bcfg);
-            let cache = g.csr().cache_stats().unwrap();
             let dev = g.csr().cache().unwrap().device().stats();
-            (r, cache, dev)
+            (r, dev)
         });
-        let (r, cache, dev) = &out[0];
+        let (r, dev) = &out[0];
+        let cache = &r.stats.cache;
         let elapsed = out.iter().map(|o| o.0.elapsed).max().unwrap();
         // sync demand paging on purpose: the stall column shows how much
         // blocking I/O each ordering leaves on the access path
-        let io_stall = out.iter().map(|o| o.0.stats.io_stall).max().unwrap();
+        let io_stall = out.iter().map(|o| o.0.stats.cache.io_stall()).max().unwrap();
         exp.row2(
             &csv_row![
                 name,

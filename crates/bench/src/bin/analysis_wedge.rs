@@ -1,5 +1,5 @@
 //! Wedge-sampling vs exact triangle counting (the extension the paper
-//! names via reference [13]): accuracy and cost of the sampling estimator
+//! names via reference \[13\]): accuracy and cost of the sampling estimator
 //! as the sample budget grows, against the exact Algorithm 6/7 count.
 
 use havoq_bench::{csv_row, ms, pick, Experiment};

@@ -12,7 +12,7 @@
 //! exposes: wire KiB per rank, mean frame fill, and backpressure stalls.
 
 use havoq_bench::{csv_row, ms, pick, Experiment};
-use havoq_comm::{CommWorld, TopologyKind};
+use havoq_comm::{CommWorld, Event, TopologyKind};
 use havoq_core::algorithms::bfs::{bfs, BfsConfig, UNREACHED};
 use havoq_core::direction::{direction_bfs, DirectionMode};
 use havoq_graph::csr::GraphConfig;
@@ -269,11 +269,15 @@ fn threads_speedup_table(scale: u32) {
             (r, fp)
         });
         let elapsed = out.iter().map(|(r, _)| r.elapsed).max().unwrap();
-        let io_stall = out.iter().map(|(r, _)| r.stats.io_stall).max().unwrap();
+        let io_stall = out.iter().map(|(r, _)| r.stats.cache.io_stall()).max().unwrap();
         let traversed = out[0].0.traversed_edges;
         for (r, _) in &out {
             assert_eq!(
-                (r.stats.corrupt_frames_detected, r.stats.nacks_sent, r.stats.retransmits),
+                (
+                    r.stats.events[Event::CorruptDetected],
+                    r.stats.events[Event::Nack],
+                    r.stats.events[Event::Retransmit]
+                ),
                 (0, 0, 0),
                 "fault-free run must not touch the recovery path (threads={threads})"
             );

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use havoq_bench::{csv_row, ms, overhead_pct, pick, Experiment, StorageMode};
 use havoq_comm::codec::FRAME_CRC_BYTES;
-use havoq_comm::CommWorld;
+use havoq_comm::{CommWorld, Event};
 use havoq_core::algorithms::bfs::{bfs, BfsConfig, UNREACHED};
 use havoq_core::CheckpointSpec;
 use havoq_graph::dist::{DistGraph, PartitionStrategy};
@@ -167,22 +167,21 @@ fn main() {
                         fp = fp.wrapping_add(mix(v.0 ^ mix(l.wrapping_add(1))));
                     }
                 }
-                let cache = g.csr().cache_stats().unwrap_or_default();
                 let dev_reads = g.csr().cache().map(|c| c.device().stats().reads).unwrap_or(0);
-                let io = g.csr().io_stats().unwrap_or_default();
-                let snap = g.csr().storage_snapshot();
-                (r, cache, dev_reads, io, fp, snap)
+                (r, dev_reads, fp)
             });
-            let (r, cache, dev_reads, _, _, _) = &out[0];
+            // cache, I/O-engine and decode counters ride in `r.stats`
+            let (r, dev_reads, _) = &out[0];
+            let cache = &r.stats.cache;
             let elapsed = out.iter().map(|o| o.0.elapsed).max().unwrap();
             // per-rank I/O stall: the slowest rank gates the traversal
-            let io_stall = out.iter().map(|o| o.0.stats.io_stall).max().unwrap();
-            let avg_qd = out.iter().map(|o| o.3.avg_queue_depth()).sum::<f64>() / p as f64;
+            let io_stall = out.iter().map(|o| o.0.stats.cache.io_stall()).max().unwrap();
+            let avg_qd = out.iter().map(|o| o.0.stats.io.avg_queue_depth()).sum::<f64>() / p as f64;
             // checkpoint overhead: the slowest rank's cut+persist time
             // over the traversal wall clock
             let ck_time = out.iter().map(|o| o.0.stats.checkpoint_time).max().unwrap();
             let ck_ovh = overhead_pct(ck_time, elapsed);
-            fingerprints.push(out.iter().fold(0u64, |acc, o| acc.wrapping_add(o.4)));
+            fingerprints.push(out.iter().fold(0u64, |acc, o| acc.wrapping_add(o.2)));
             mode_names.push(mode);
             stalls.push(io_stall);
             times.push(elapsed);
@@ -190,23 +189,20 @@ fn main() {
             frames.push(out.iter().map(|o| o.0.stats.frames_sent).sum::<u64>());
             // aggregate compression across ranks: pool bytes and edge counts
             // sum, decode counters sum
-            let snap_total = out.iter().filter_map(|o| o.5).fold(
-                None::<havoq_graph::csr::CsrStorageSnapshot>,
-                |acc, s| {
-                    let mut t = acc.unwrap_or_default();
+            let snap_total = matches!(storage, StorageMode::ExtCompressed).then(|| {
+                out.iter().fold(havoq_graph::csr::CsrStorageSnapshot::default(), |mut t, o| {
+                    let s = o.0.stats.csr;
                     t.num_edges += s.num_edges;
                     t.encoded_bytes += s.encoded_bytes;
                     t.raw_bytes += s.raw_bytes;
                     t.adj_decodes += s.adj_decodes;
                     t.adj_decoded_bytes += s.adj_decoded_bytes;
-                    Some(t)
-                },
-            );
+                    t
+                })
+            });
             let bytes_per_edge = snap_total.map(|s| s.bytes_per_edge()).unwrap_or(8.0);
             let decodes = snap_total.map(|s| s.adj_decodes).unwrap_or(0);
-            if matches!(storage, StorageMode::ExtCompressed) && comp_snap.is_none() {
-                comp_snap = snap_total;
-            }
+            comp_snap = comp_snap.or(snap_total);
 
             exp.row2(
                 &csv_row![
@@ -240,7 +236,7 @@ fn main() {
             );
 
             if ckpt_every.is_some() {
-                let epochs: u64 = out.iter().map(|o| o.0.stats.checkpoints_written).sum();
+                let epochs: u64 = out.iter().map(|o| o.0.stats.events[Event::Checkpoint]).sum();
                 let bytes: u64 = out.iter().map(|o| o.0.stats.checkpoint_bytes).sum();
                 println!(
                     "    checkpoints: {epochs} rank-epochs, {} KiB persisted, \
@@ -253,7 +249,7 @@ fn main() {
                 // merged queue-depth histogram across ranks
                 let mut hist = havoq_util::Histogram::new();
                 for o in &out {
-                    hist.merge(&o.3.depth_hist);
+                    hist.merge(&o.0.stats.io.depth_hist);
                 }
                 let line: Vec<String> = hist
                     .buckets()

@@ -96,9 +96,9 @@ fn main() {
                 );
                 let g = DistGraph::build(ctx, local, PartitionStrategy::EdgeList, cfg);
                 let r = bfs(ctx, &g, VertexId(0), &BfsConfig::default());
-                (r, g.csr().cache_stats(), g.csr().storage_snapshot())
+                (r, g.csr().cache_stats())
             });
-            let (r, cache, _) = &out[0];
+            let (r, cache) = &out[0];
             let elapsed = out.iter().map(|o| o.0.elapsed).max().unwrap();
             let teps = r.traversed_edges as f64 / elapsed.as_secs_f64();
             if step == 0 {
@@ -107,11 +107,11 @@ fn main() {
             let frac = 100.0 * teps / dram_teps;
             let hit =
                 cache.map(|c| format!("{:.2}", 100.0 * c.hit_rate())).unwrap_or_else(|| "-".into());
-            let io_stall = out.iter().map(|o| o.0.stats.io_stall).max().unwrap();
+            let io_stall = out.iter().map(|o| o.0.stats.cache.io_stall()).max().unwrap();
             let bytes_per_edge = {
                 let (enc, edges) = out
                     .iter()
-                    .filter_map(|o| o.2)
+                    .map(|o| o.0.stats.csr)
                     .fold((0u64, 0u64), |a, s| (a.0 + s.encoded_bytes, a.1 + s.num_edges));
                 if edges == 0 {
                     8.0

@@ -23,7 +23,7 @@
 //! aggregate key throughput speedup of the batched pass is reported.
 
 use havoq_bench::{csv_row, overhead_pct, pick, Experiment};
-use havoq_comm::{CommWorld, FaultConfig, RankCtx};
+use havoq_comm::{CommWorld, Event, EventCounts, FaultConfig, RankCtx};
 use havoq_core::algorithms::bfs::{bfs, BfsConfig};
 use havoq_core::algorithms::validate::validate_bfs;
 use havoq_core::batch::{BatchConfig, QueryBatch, MAX_BATCH};
@@ -73,6 +73,19 @@ fn world_elapsed(ctx: &RankCtx, local: std::time::Duration) -> f64 {
 /// The `--batch K` mode: sequential per-key pass, then the batched
 /// multi-source pass over the same keys, bit-identical results asserted,
 /// aggregate speedup reported.
+/// The report line for the integrity machinery's world totals: injected
+/// corruption/loss and the repair traffic that healed it.
+fn integrity_note(over: &str, e: &EventCounts, validated: &str) -> String {
+    format!(
+        "integrity over {over}: {} corrupt frames detected, {} injected drops, \
+         {} retransmits, {} NACKs (all repaired; {validated})",
+        e[Event::CorruptDetected],
+        e[Event::FaultDrop],
+        e[Event::Retransmit],
+        e[Event::Nack]
+    )
+}
+
 fn run_batched(k: usize) {
     let k = k.clamp(1, MAX_BATCH);
     let scale: u32 = pick(9, 12);
@@ -107,7 +120,7 @@ fn run_batched(k: usize) {
         // --- sequential reference pass: one traversal per key ---
         // only the traversals are timed; validation and fingerprinting are
         // equivalence checks, not part of either pass's served throughput
-        let mut integ = [0u64; 4];
+        let mut events = EventCounts::default();
         let mut serial_local = std::time::Duration::ZERO;
         let mut serial = Vec::new(); // (visited, traversed, max_level, level_fp)
         for &key in &keys {
@@ -123,10 +136,7 @@ fn run_batched(k: usize) {
             assert!(report.is_valid(), "sequential tree for key {key:?} invalid: {report:?}");
             let fp = level_fingerprint(ctx, &g, |li| r.local_state[li].length);
             serial.push((r.visited_count, r.traversed_edges, r.max_level, fp));
-            integ[0] += r.stats.corrupt_frames_detected;
-            integ[1] += r.stats.frames_dropped_injected;
-            integ[2] += r.stats.retransmits;
-            integ[3] += r.stats.nacks_sent;
+            events += r.stats.events;
         }
         let serial_secs = world_elapsed(ctx, serial_local);
 
@@ -159,23 +169,15 @@ fn run_batched(k: usize) {
                 traversed_sum += agg.traversed_edges;
             }
             chunk_rows.push((chunk.len(), chunk_secs, traversed_sum));
-            integ[0] += res.stats.corrupt_frames_detected;
-            integ[1] += res.stats.frames_dropped_injected;
-            integ[2] += res.stats.retransmits;
-            integ[3] += res.stats.nacks_sent;
+            events += res.stats.events;
         }
         let batched_secs = world_elapsed(ctx, batched_local);
 
-        let integ = [
-            ctx.all_reduce_sum(integ[0]),
-            ctx.all_reduce_sum(integ[1]),
-            ctx.all_reduce_sum(integ[2]),
-            ctx.all_reduce_sum(integ[3]),
-        ];
-        (keys, serial, batched, serial_secs, batched_secs, chunk_rows, integ)
+        let events = ctx.all_reduce_events(events);
+        (keys, serial, batched, serial_secs, batched_secs, chunk_rows, events)
     });
 
-    let (keys, serial, batched, serial_secs, batched_secs, chunk_rows, integ) = &results[0];
+    let (keys, serial, batched, serial_secs, batched_secs, chunk_rows, events) = &results[0];
 
     // bit-identical equivalence, the acceptance gate: every per-key
     // aggregate and the full level-array digest must match the sequential
@@ -221,11 +223,7 @@ fn run_batched(k: usize) {
             batched_secs * 1e3
         ),
         format!("aggregate key-throughput speedup: {speedup:.2}x"),
-        format!(
-            "integrity over both passes: {} corrupt frames detected, {} injected drops, \
-             {} retransmits, {} NACKs (all repaired; every tree validated)",
-            integ[0], integ[1], integ[2], integ[3]
-        ),
+        integrity_note("both passes", events, "every tree validated"),
     ];
     let note_refs: Vec<&str> = notes.iter().map(String::as_str).collect();
     exp.finish(&note_refs);
@@ -437,15 +435,9 @@ fn run_thread_sweep() {
                 let r = bfs(ctx, &g, key, &bcfg);
                 let report = validate_bfs(ctx, &g, key, &r.local_state);
                 let wire_bytes = ctx.all_reduce_sum(r.stats.bytes_sent);
-                // world totals of the integrity machinery for this run:
-                // injected corruption/loss and the repair traffic that
-                // healed it
-                let integrity = [
-                    ctx.all_reduce_sum(r.stats.corrupt_frames_detected),
-                    ctx.all_reduce_sum(r.stats.frames_dropped_injected),
-                    ctx.all_reduce_sum(r.stats.retransmits),
-                    ctx.all_reduce_sum(r.stats.nacks_sent),
-                ];
+                // world totals of the event table for this run: injected
+                // corruption/loss and the repair traffic that healed it
+                let events = ctx.all_reduce_events(r.stats.events);
                 runs.push((
                     key.0,
                     threads,
@@ -454,7 +446,7 @@ fn run_thread_sweep() {
                     report.is_valid(),
                     wire_bytes,
                     r.stats.checkpoint_time,
-                    integrity,
+                    events,
                 ));
             }
         }
@@ -482,15 +474,13 @@ fn run_thread_sweep() {
     let mut all_valid = true;
     let mut total_ck = std::time::Duration::ZERO;
     let mut total_elapsed = std::time::Duration::ZERO;
-    let mut integ = [0u64; 4];
+    let mut events = EventCounts::default();
     let mut traversed_by_key: std::collections::HashMap<u64, u64> =
         std::collections::HashMap::new();
-    for (i, (key, threads, traversed, _elapsed, valid, wire_bytes, _ck, run_integ)) in
+    for (i, (key, threads, traversed, _elapsed, valid, wire_bytes, _ck, run_events)) in
         runs.iter().enumerate()
     {
-        for (t, v) in integ.iter_mut().zip(run_integ) {
-            *t += v;
-        }
+        events += *run_events;
         // the BFS tree may differ across thread counts (ties), but the
         // traversed-edge count is part of the traversal fingerprint and
         // must not
@@ -581,11 +571,7 @@ fn run_thread_sweep() {
                 "checkpoint overhead over all runs: {:.2}%",
                 overhead_pct(total_ck, total_elapsed)
             ),
-            format!(
-                "integrity over all runs: {} corrupt frames detected, {} injected drops, \
-                 {} retransmits, {} NACKs (all repaired; trees validated below)",
-                integ[0], integ[1], integ[2], integ[3]
-            ),
+            integrity_note("all runs", &events, "trees validated below"),
             format!("all trees valid: {all_valid}"),
         ])
         .collect();

@@ -32,133 +32,83 @@ pub fn scale_bump() -> u32 {
     std::env::var("HAVOQ_SCALE_BUMP").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
+/// Value of the option `--name v` (or `--name=v`) in `args`; the first
+/// occurrence wins. Every knob below is one parse of this.
+fn flag_in(args: impl IntoIterator<Item = String>, name: &str) -> Option<String> {
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        match a.strip_prefix("--").and_then(|a| a.strip_prefix(name)) {
+            Some("") => return args.next(),
+            Some(rest) if rest.starts_with('=') => return Some(rest[1..].to_string()),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// [`flag_in`] over this process's command line.
+fn flag(name: &str) -> Option<String> {
+    flag_in(std::env::args(), name)
+}
+
 /// Checkpoint cadence for the traversal binaries: `--checkpoint-every N`
-/// on the command line (or `HAVOQ_CHECKPOINT_EVERY=N` in the environment)
 /// checkpoints every `N` executed visitors per rank so the run reports the
 /// overhead of cutting and persisting traversal state. `None` (the
 /// default) runs uncheckpointed.
 pub fn checkpoint_every() -> Option<u64> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--checkpoint-every" {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--checkpoint-every=") {
-            return v.parse().ok();
-        }
-    }
-    std::env::var("HAVOQ_CHECKPOINT_EVERY").ok().and_then(|v| v.parse().ok())
+    flag("checkpoint-every")?.parse().ok()
 }
 
-/// Wire-fault plan for the traversal binaries: `--faults SEED` on the
-/// command line (or `HAVOQ_FAULTS=SEED` in the environment) runs every
+/// Wire-fault plan for the traversal binaries: `--faults SEED` runs every
 /// traversal under the lossy chaos plan derived from `SEED` — delay,
 /// reorder, duplicate, stall and slow-rank plus seeded frame corruption
 /// and loss — so the CRC + NACK/retransmit machinery runs hot and its
 /// recovery counters show up in the report. Seeds parse as decimal or
 /// `0x`-prefixed hex. `None` (the default) runs fault-free.
 pub fn faults() -> Option<u64> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--faults" {
-            return args.next().as_deref().and_then(parse_seed);
-        }
-        if let Some(v) = a.strip_prefix("--faults=") {
-            return parse_seed(v);
-        }
-    }
-    std::env::var("HAVOQ_FAULTS").ok().as_deref().and_then(parse_seed)
+    parse_seed(&flag("faults")?)
 }
 
-/// Intra-rank worker threads for the traversal binaries: `--threads N` on
-/// the command line (or `HAVOQ_THREADS=N` in the environment) runs every
-/// visitor queue with an `N`-thread worker pool per rank (DESIGN.md §11).
-/// `None` (the default) leaves the queue on its serial single-thread path.
+/// Intra-rank worker threads for the traversal binaries: `--threads N`
+/// runs every visitor queue with an `N`-thread worker pool per rank
+/// (DESIGN.md §11). `None` (the default) leaves the queue on its serial
+/// single-thread path.
 pub fn threads() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--threads=") {
-            return v.parse().ok();
-        }
-    }
-    std::env::var("HAVOQ_THREADS").ok().and_then(|v| v.parse().ok())
+    flag("threads")?.parse().ok()
 }
 
-/// Admission backlog bound for the serving binaries: `--backlog N` on the
-/// command line (or `HAVOQ_BACKLOG=N` in the environment) caps the
-/// admission queue at `N` pending queries; beyond it the shed policy
+/// Admission backlog bound for the serving binaries: `--backlog N` caps
+/// the admission queue at `N` pending queries; beyond it the shed policy
 /// drops work instead of letting latency ramp without bound (DESIGN.md
 /// §15). `None` (the default) leaves the backlog unbounded.
 pub fn backlog() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--backlog" {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--backlog=") {
-            return v.parse().ok();
-        }
-    }
-    std::env::var("HAVOQ_BACKLOG").ok().and_then(|v| v.parse().ok())
+    flag("backlog")?.parse().ok()
 }
 
 /// Shed policy at the backlog bound: `--shed-policy reject-new` (default)
-/// or `--shed-policy drop-oldest` (or `HAVOQ_SHED_POLICY` in the
-/// environment). Only meaningful together with [`backlog`].
+/// or `--shed-policy drop-oldest`. Only meaningful together with
+/// [`backlog`].
 pub fn shed_policy() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--shed-policy" {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix("--shed-policy=") {
-            return Some(v.to_string());
-        }
-    }
-    std::env::var("HAVOQ_SHED_POLICY").ok()
+    flag("shed-policy")
 }
 
-/// Batched query width for the traversal binaries: `--batch K` on the
-/// command line (or `HAVOQ_BATCH=K` in the environment) runs search keys
-/// through the multi-source batching layer, `K` queries per shared
+/// Batched query width for the traversal binaries: `--batch K` runs search
+/// keys through the multi-source batching layer, `K` queries per shared
 /// traversal (DESIGN.md §12). `None` (the default) runs keys sequentially.
 pub fn batch() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--batch" {
-            return args.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--batch=") {
-            return v.parse().ok();
-        }
-    }
-    std::env::var("HAVOQ_BATCH").ok().and_then(|v| v.parse().ok())
+    flag("batch")?.parse().ok()
 }
 
 /// BFS engine direction policy for the traversal binaries: `--direction
-/// {top,bottom,auto,async}` on the command line (or `HAVOQ_DIRECTION` in
-/// the environment) selects the direction-optimizing level-synchronous
-/// engine (DESIGN.md §13) instead of the asynchronous visitor loop.
-/// `None` (the default) keeps the asynchronous engine; an unknown token
-/// panics loudly rather than silently falling back.
+/// {top,bottom,auto,async}` selects the direction-optimizing
+/// level-synchronous engine (DESIGN.md §13) instead of the asynchronous
+/// visitor loop. `None` (the default) keeps the asynchronous engine; an
+/// unknown token panics loudly rather than silently falling back.
 pub fn direction() -> Option<havoq_core::direction::DirectionMode> {
-    let parse = |v: &str| {
-        havoq_core::direction::DirectionMode::parse(v)
+    flag("direction").map(|v| {
+        havoq_core::direction::DirectionMode::parse(&v)
             .unwrap_or_else(|| panic!("unknown --direction {v:?} (want top|bottom|auto|async)"))
-    };
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--direction" {
-            return args.next().as_deref().map(parse);
-        }
-        if let Some(v) = a.strip_prefix("--direction=") {
-            return Some(parse(v));
-        }
-    }
-    std::env::var("HAVOQ_DIRECTION").ok().as_deref().map(parse)
+    })
 }
 
 /// CSR storage backend for the traversal binaries (DESIGN.md §14).
@@ -206,25 +156,14 @@ impl StorageMode {
     }
 }
 
-/// CSR storage backend: `--storage {mem,ext,ext-compressed}` on the command
-/// line (or `HAVOQ_STORAGE` in the environment). `None` (the default) lets
-/// each binary keep its built-in storage matrix; an unknown token panics
-/// loudly rather than silently falling back.
+/// CSR storage backend: `--storage {mem,ext,ext-compressed}`. `None` (the
+/// default) lets each binary keep its built-in storage matrix; an unknown
+/// token panics loudly rather than silently falling back.
 pub fn storage() -> Option<StorageMode> {
-    let parse = |v: &str| {
-        StorageMode::parse(v)
+    flag("storage").map(|v| {
+        StorageMode::parse(&v)
             .unwrap_or_else(|| panic!("unknown --storage {v:?} (want mem|ext|ext-compressed)"))
-    };
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--storage" {
-            return args.next().as_deref().map(parse);
-        }
-        if let Some(v) = a.strip_prefix("--storage=") {
-            return Some(parse(v));
-        }
-    }
-    std::env::var("HAVOQ_STORAGE").ok().as_deref().map(parse)
+    })
 }
 
 /// The Graph500 search-key seed the benchmark binaries share.
@@ -445,92 +384,6 @@ pub fn mteps(edges: u64, d: Duration) -> String {
     }
 }
 
-/// Dependency-free microbenchmark harness used by the `benches/` targets
-/// (`harness = false`): auto-calibrated batch sizes, a handful of samples,
-/// and a min/median/mean table. Honors `HAVOQ_QUICK` for CI smoke runs.
-pub mod microbench {
-    use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    use super::{print_header, print_row, quick};
-
-    /// A named group of benchmarks sharing one console table.
-    pub struct Group {
-        samples: usize,
-        target_batch: Duration,
-    }
-
-    /// Open a group: prints the banner and the result table header.
-    pub fn group(name: &str) -> Group {
-        let (samples, target_batch) =
-            if quick() { (3, Duration::from_millis(2)) } else { (10, Duration::from_millis(20)) };
-        println!("microbench group: {name}  ({samples} samples)\n");
-        print_header(&["benchmark", "iters", "min", "median", "mean"]);
-        Group { samples, target_batch }
-    }
-
-    fn fmt_ns(ns: f64) -> String {
-        if ns >= 1e9 {
-            format!("{:.3} s", ns / 1e9)
-        } else if ns >= 1e6 {
-            format!("{:.3} ms", ns / 1e6)
-        } else if ns >= 1e3 {
-            format!("{:.3} us", ns / 1e3)
-        } else {
-            format!("{ns:.0} ns")
-        }
-    }
-
-    impl Group {
-        /// Time one closure: calibrate a batch size so a batch is long
-        /// enough to measure, then report per-iteration latency over
-        /// `samples` batches.
-        pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-            // Warm-up + calibration: grow the batch until it fills the
-            // target window (capped so slow world-spawning benches still
-            // finish promptly).
-            let mut iters: u64 = 1;
-            loop {
-                let t0 = Instant::now();
-                for _ in 0..iters {
-                    black_box(f());
-                }
-                let elapsed = t0.elapsed();
-                if elapsed >= self.target_batch || iters >= 1 << 20 {
-                    break;
-                }
-                let scale = (self.target_batch.as_secs_f64() / elapsed.as_secs_f64().max(1e-9))
-                    .ceil() as u64;
-                iters = (iters * scale.clamp(2, 100)).min(1 << 20);
-            }
-            let mut per_iter_ns: Vec<f64> = (0..self.samples)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        black_box(f());
-                    }
-                    t0.elapsed().as_secs_f64() * 1e9 / iters as f64
-                })
-                .collect();
-            per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-            let min = per_iter_ns[0];
-            let median = per_iter_ns[per_iter_ns.len() / 2];
-            let mean = per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64;
-            print_row(&[
-                name.to_string(),
-                iters.to_string(),
-                fmt_ns(min),
-                fmt_ns(median),
-                fmt_ns(mean),
-            ]);
-        }
-
-        pub fn finish(self) {
-            println!();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,17 +416,25 @@ mod tests {
     }
 
     #[test]
-    fn faults_parses_seed_from_env() {
-        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::remove_var("HAVOQ_FAULTS");
-        assert_eq!(faults(), None);
-        std::env::set_var("HAVOQ_FAULTS", "42");
-        assert_eq!(faults(), Some(42));
-        std::env::set_var("HAVOQ_FAULTS", "0xBEEF");
-        assert_eq!(faults(), Some(0xBEEF));
-        std::env::set_var("HAVOQ_FAULTS", "not-a-seed");
-        assert_eq!(faults(), None);
-        std::env::remove_var("HAVOQ_FAULTS");
+    fn flags_parse_in_both_forms() {
+        let args = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
+        let line = args("graph500_run --batch 32 --faults=0xBEEF --shed-policy drop-oldest");
+        assert_eq!(flag_in(line.clone(), "batch").as_deref(), Some("32"));
+        assert_eq!(flag_in(line.clone(), "faults").as_deref(), Some("0xBEEF"));
+        assert_eq!(flag_in(line.clone(), "shed-policy").as_deref(), Some("drop-oldest"));
+        assert_eq!(flag_in(line.clone(), "threads"), None);
+        assert_eq!(flag_in(line, "shed"), None, "a flag is not matched by its prefix");
+        assert_eq!(flag_in(args("bin --batch=8 --batch 9"), "batch").as_deref(), Some("8"));
+        assert_eq!(flag_in(args("bin --batch"), "batch"), None, "value missing");
+        // the test binary's own command line carries none of the knobs
+        assert_eq!((faults(), batch(), direction(), storage()), (None, None, None, None));
+    }
+
+    #[test]
+    fn fault_seeds_parse_as_decimal_or_hex() {
+        assert_eq!(parse_seed("42"), Some(42));
+        assert_eq!(parse_seed("0xBEEF"), Some(0xBEEF));
+        assert_eq!(parse_seed("not-a-seed"), None);
     }
 
     #[test]
@@ -596,48 +457,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_parses_from_env() {
-        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::remove_var("HAVOQ_BATCH");
-        assert_eq!(batch(), None);
-        std::env::set_var("HAVOQ_BATCH", "32");
-        assert_eq!(batch(), Some(32));
-        std::env::set_var("HAVOQ_BATCH", "junk");
-        assert_eq!(batch(), None);
-        std::env::remove_var("HAVOQ_BATCH");
-    }
-
-    #[test]
-    fn direction_parses_from_env() {
-        use havoq_core::direction::DirectionMode;
-        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::remove_var("HAVOQ_DIRECTION");
-        assert_eq!(direction(), None);
-        std::env::set_var("HAVOQ_DIRECTION", "auto");
-        assert_eq!(direction(), Some(DirectionMode::Auto));
-        std::env::set_var("HAVOQ_DIRECTION", "top");
-        assert_eq!(direction(), Some(DirectionMode::TopDown));
-        std::env::set_var("HAVOQ_DIRECTION", "bottom-up");
-        assert_eq!(direction(), Some(DirectionMode::BottomUp));
-        std::env::set_var("HAVOQ_DIRECTION", "async");
-        assert_eq!(direction(), Some(DirectionMode::Async));
-        std::env::remove_var("HAVOQ_DIRECTION");
-    }
-
-    #[test]
-    fn storage_parses_from_env() {
-        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::remove_var("HAVOQ_STORAGE");
-        assert_eq!(storage(), None);
-        std::env::set_var("HAVOQ_STORAGE", "mem");
-        assert_eq!(storage(), Some(StorageMode::Mem));
-        std::env::set_var("HAVOQ_STORAGE", "ext");
-        assert_eq!(storage(), Some(StorageMode::Ext));
-        std::env::set_var("HAVOQ_STORAGE", "ext-compressed");
-        assert_eq!(storage(), Some(StorageMode::ExtCompressed));
-        std::env::set_var("HAVOQ_STORAGE", "ext-comp");
-        assert_eq!(storage(), Some(StorageMode::ExtCompressed));
-        std::env::remove_var("HAVOQ_STORAGE");
+    fn storage_tokens_parse() {
+        assert_eq!(StorageMode::parse("mem"), Some(StorageMode::Mem));
+        assert_eq!(StorageMode::parse("ext"), Some(StorageMode::Ext));
+        assert_eq!(StorageMode::parse("ext-compressed"), Some(StorageMode::ExtCompressed));
+        assert_eq!(StorageMode::parse("ext-comp"), Some(StorageMode::ExtCompressed));
         assert!(StorageMode::parse("junk").is_none());
     }
 

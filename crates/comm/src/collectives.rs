@@ -13,6 +13,7 @@
 use havoq_util::FxHashMap;
 
 use crate::runtime::RankCtx;
+use crate::stats::EventCounts;
 
 /// Binomial-tree parent of `rank` (root 0 has none): clear the lowest set bit.
 #[inline]
@@ -93,6 +94,15 @@ impl RankCtx {
     /// Sum-reduction convenience used throughout the experiments.
     pub fn all_reduce_sum(&self, v: u64) -> u64 {
         self.all_reduce(v, |a, b| a.wrapping_add(b))
+    }
+
+    /// World totals of a per-rank event view: all counters in one vector
+    /// all-reduce.
+    pub fn all_reduce_events(&self, v: EventCounts) -> EventCounts {
+        self.all_reduce(v, |mut a, b| {
+            a += b;
+            a
+        })
     }
 
     /// Max-reduction convenience.

@@ -66,7 +66,7 @@ use havoq_util::FxHashMap;
 
 use crate::chan::Receiver;
 use crate::registry::Wire;
-use crate::stats::ChannelStats;
+use crate::stats::{ChannelStats, Event};
 
 /// Fault probabilities and magnitudes, all decided deterministically from
 /// `seed`. Probabilities are per-mille (`0..=1000`); a zero probability
@@ -602,21 +602,21 @@ impl<M: Send + 'static> FaultState<M> {
                 // permanent wedge: the channel keeps draining (ingest still
                 // runs) but release never fires again on this endpoint
                 self.stall_until = u64::MAX;
-                stats.record_fault_stall(src, self.rank);
+                stats.bump(Event::FaultStall, src, self.rank);
             }
         }
         let stall = self.plan.stall_window(self.tag, self.rank, arrival);
         if stall > 0 {
             self.stall_until = self.stall_until.max(self.tick + stall as u64);
-            stats.record_fault_stall(src, self.rank);
+            stats.bump(Event::FaultStall, src, self.rank);
         }
         let mut hold = self.plan.delay_ticks(self.tag, src, self.rank, w.seq);
         if hold > 0 {
-            stats.record_fault_delay(src, self.rank);
+            stats.bump(Event::FaultDelay, src, self.rank);
         }
         if self.slow {
             hold += self.plan.config().slow_rank_ticks;
-            stats.record_fault_throttle(src, self.rank);
+            stats.bump(Event::FaultThrottle, src, self.rank);
         }
         let shift = self.plan.reorder_shift(self.tag, src, self.rank, w.seq);
         self.held.push(Held {
@@ -637,13 +637,13 @@ impl<M: Send + 'static> FaultState<M> {
             let h = self.held.pop().unwrap();
             if let Some(dedup) = &mut self.dedup {
                 if !dedup.entry(h.src).or_default().first_delivery(h.seq) {
-                    stats.record_fault_dedup(h.src as usize, self.rank);
+                    stats.bump(Event::FaultDedup, h.src as usize, self.rank);
                     continue;
                 }
             }
             // observed overtake: an earlier arrival is still held
             if self.held.iter().any(|o| o.key < h.key) {
-                stats.record_fault_reorder(h.src as usize, self.rank);
+                stats.bump(Event::FaultReorder, h.src as usize, self.rank);
             }
             return Some(Wire { src: h.src, seq: h.seq, msg: h.msg });
         }

@@ -45,7 +45,7 @@ pub use mailbox::{
     Mailbox, MailboxConfig, MailboxStatsSnapshot, SendShard, DEFAULT_CHANNEL_CAPACITY,
 };
 pub use runtime::{CommWorld, RankCtx};
-pub use stats::{ChannelStats, ChannelStatsSnapshot};
+pub use stats::{ChannelStats, ChannelStatsSnapshot, Event, EventCounts};
 pub use termination::{CutVerdict, Quiescence};
 pub use topology::{Topology, TopologyKind};
 pub use transport::Transport;

@@ -53,6 +53,7 @@ use crate::codec::{
     RECORD_DST_BYTES,
 };
 use crate::runtime::RankCtx;
+use crate::stats::Event;
 use crate::topology::{Topology, TopologyKind};
 use crate::transport::Transport;
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -288,18 +289,9 @@ pub struct Mailbox<M: Send + WireCodec + 'static> {
     integrity: Option<Integrity>,
     pool: FramePool,
     recv_cost_ns: u64,
-    // end-to-end payload counters
-    sent: u64,
-    received: u64,
-    transit_forwarded: u64,
-    // byte-level counters
-    frames_sent: u64,
-    frames_received: u64,
-    bytes_sent: u64,
-    bytes_received: u64,
-    records_sent: u64,
-    backpressure_stalls: u64,
-    fill_hist: [u64; 8],
+    /// Running end-to-end payload and byte-level counters; [`Self::stats`]
+    /// adds the frame pool's two.
+    counters: MailboxStatsSnapshot,
 }
 
 /// Busy-wait for `ns` nanoseconds (sleep granularity is far coarser).
@@ -378,16 +370,10 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
             // for receive churn
             pool: FramePool::new(frame_cap, 2 * p + 8),
             recv_cost_ns: cfg.recv_cost_ns,
-            sent: 0,
-            received: 0,
-            transit_forwarded: 0,
-            frames_sent: 0,
-            frames_received: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
-            records_sent: 0,
-            backpressure_stalls: 0,
-            fill_hist: [0; 8],
+            counters: MailboxStatsSnapshot {
+                frame_capacity_records: cap_records as u64,
+                ..MailboxStatsSnapshot::default()
+            },
         }
     }
 
@@ -410,7 +396,7 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
 
     /// Queue `msg` for delivery to `dst` (paper: `mb.send(rank, data)`).
     pub fn send(&mut self, dst: usize, msg: M) {
-        self.sent += 1;
+        self.counters.sent += 1;
         if dst == self.rank() {
             // Local delivery bypasses the network, like MPI self-sends the
             // paper short-circuits.
@@ -491,12 +477,12 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
         }
         self.pending_out -= records as usize;
         let bytes = buf.len() as u64;
-        self.frames_sent += 1;
-        self.bytes_sent += bytes;
-        self.records_sent += records as u64;
+        self.counters.frames_sent += 1;
+        self.counters.bytes_sent += bytes;
+        self.counters.records_sent += records as u64;
         // fill bucket b covers (b/8, (b+1)/8] of capacity
         let bucket = ((records as usize * 8).saturating_sub(1) / self.cap_records).min(7);
-        self.fill_hist[bucket] += 1;
+        self.counters.frame_fill_hist[bucket] += 1;
         self.ship(hop, Frame { buf }, records as u64, bytes);
     }
 
@@ -535,7 +521,7 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
                     return;
                 }
                 Err(TrySendError::Full(f)) => {
-                    self.backpressure_stalls += 1;
+                    self.counters.backpressure_stalls += 1;
                     // servicing ACK/NACK while blocked keeps repair live:
                     // the peer we are waiting on may itself be waiting for
                     // one of our retransmissions
@@ -576,7 +562,7 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
         self.service_integrity();
         let mut delivered = 0;
         while let Some(m) = self.local.pop_front() {
-            self.received += 1;
+            self.counters.received += 1;
             out.push(m);
             delivered += 1;
         }
@@ -617,7 +603,7 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
                 if plan.drop_frame(tag, src, me, seq, nonce) {
                     // injected loss: the frame vanishes, but its number is
                     // still known missing so gap repair can reclaim it
-                    self.transport.stats().record_fault_drop(src, me);
+                    self.transport.stats().bump(Event::FaultDrop, src, me);
                     let win = &mut integ.windows[src];
                     win.max_seen = win.max_seen.max(seq + 1);
                     self.pool.put(buf);
@@ -626,18 +612,18 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
                 if let Some(h) = plan.corrupt_draw(tag, src, me, seq, nonce) {
                     let bit = (h % (buf.len() as u64 * 8)) as usize;
                     buf[bit / 8] ^= 1 << (bit % 8);
-                    self.transport.stats().record_fault_corrupt(src, me);
+                    self.transport.stats().bump(Event::FaultCorrupt, src, me);
                 }
             }
             if !frame_verify_and_strip(&mut buf) {
-                self.transport.stats().record_corrupt_detected(src, me);
+                self.transport.stats().bump(Event::CorruptDetected, src, me);
                 let win = &mut integ.windows[src];
                 win.max_seen = win.max_seen.max(seq + 1);
                 // NACK unless some copy of this number already made it
                 // through (a corrupted duplicate needs no repair)
                 if seq >= win.hi && !win.ahead.contains(&seq) {
                     integ.control.send(src, Control::Nack(seq));
-                    self.transport.stats().record_nack(src, me);
+                    self.transport.stats().bump(Event::Nack, src, me);
                 }
                 self.pool.put(buf);
                 continue;
@@ -648,7 +634,7 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
                 // frame usually means our ACK has not reached the sender
                 // yet, so re-advertise the cumulative point immediately.
                 if self.transport.fault_plan().is_some() {
-                    self.transport.stats().record_fault_dedup(src, me);
+                    self.transport.stats().bump(Event::FaultDedup, src, me);
                 }
                 integ.control.send(src, Control::Ack(win.note_acked()));
                 self.pool.put(buf);
@@ -717,7 +703,7 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
                         win.nack_attempts,
                     );
                     integ.control.send(src, Control::Nack(win.hi));
-                    self.transport.stats().record_nack(src, me);
+                    self.transport.stats().bump(Event::Nack, src, me);
                     win.nack_attempts += 1;
                     win.nack_backoff =
                         (win.nack_backoff.max(NACK_GRACE_TICKS) * 2).min(BACKOFF_CAP_TICKS);
@@ -754,12 +740,12 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
     /// Unpack one received frame: deliver records addressed here, re-buffer
     /// transit records, recycle the buffer.
     fn process_frame(&mut self, buf: Vec<u8>, out: &mut Vec<M>) -> usize {
-        self.frames_received += 1;
+        self.counters.frames_received += 1;
         // the CRC trailer was verified and stripped on receive; count it
         // here so wire-volume conservation (bytes sent == bytes received)
         // still holds
         let crc = if self.integrity.is_some() { FRAME_CRC_BYTES as u64 } else { 0 };
-        self.bytes_received += buf.len() as u64 + crc;
+        self.counters.bytes_received += buf.len() as u64 + crc;
         debug_assert_eq!(frame_record_size(&buf) as usize, self.record_size);
         let count = frame_record_count(&buf) as usize;
         let me = self.rank() as u32;
@@ -769,11 +755,11 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
             let dst = u32::from_le_bytes(buf[off..off + RECORD_DST_BYTES].try_into().unwrap());
             let payload = &buf[off + RECORD_DST_BYTES..off + self.record_size];
             if dst == me {
-                self.received += 1;
+                self.counters.received += 1;
                 out.push(M::decode(payload, &self.decode_ctx));
                 delivered += 1;
             } else {
-                self.transit_forwarded += 1;
+                self.counters.transit_forwarded += 1;
                 self.buffer_raw(dst as usize, payload);
             }
         }
@@ -784,13 +770,13 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
     /// Payloads accepted by `send` on this rank (end-to-end counter).
     #[inline]
     pub fn sent_count(&self) -> u64 {
-        self.sent
+        self.counters.sent
     }
 
     /// Payloads delivered to this rank by `poll` (end-to-end counter).
     #[inline]
     pub fn received_count(&self) -> u64 {
-        self.received
+        self.counters.received
     }
 
     /// Payloads waiting in this rank's aggregation frames (origin or
@@ -804,19 +790,9 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
     /// Local snapshot of mailbox counters.
     pub fn stats(&self) -> MailboxStatsSnapshot {
         MailboxStatsSnapshot {
-            sent: self.sent,
-            received: self.received,
-            transit_forwarded: self.transit_forwarded,
-            frames_sent: self.frames_sent,
-            frames_received: self.frames_received,
-            bytes_sent: self.bytes_sent,
-            bytes_received: self.bytes_received,
-            records_sent: self.records_sent,
-            backpressure_stalls: self.backpressure_stalls,
-            frame_capacity_records: self.cap_records as u64,
-            frame_fill_hist: self.fill_hist,
             pool_allocated: self.pool.allocated(),
             pool_reused: self.pool.reused(),
+            ..self.counters
         }
     }
 
@@ -835,8 +811,9 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
     }
 
     /// World-shared live statistics of this mailbox's channel set, for
-    /// recording checkpoint/crash/restore events against the traversal's
-    /// own channel (see [`crate::stats::ChannelStats::record_checkpoint`]).
+    /// bumping per-rank events (checkpoint, crash, restore, cancel, abort)
+    /// against the traversal's own channel (see
+    /// [`crate::stats::ChannelStats::bump`]).
     pub fn channel_stats(&self) -> &crate::stats::ChannelStats {
         self.transport.stats()
     }
@@ -1253,7 +1230,7 @@ mod tests {
         assert!(total_stalls > 0, "capacity 1 under 300 eager sends must stall");
         for (st, tr, _) in &res {
             assert_eq!(st.received, 600);
-            assert_eq!(tr.total_stalls(), total_stalls, "shared matrix agrees");
+            assert_eq!(tr.count(Event::Stall), total_stalls, "shared matrix agrees");
         }
     }
 
@@ -1296,8 +1273,8 @@ mod tests {
                 * (frames_per_dst * FRAME_HEADER_BYTES as u64 + (msgs * record) as u64);
             assert_eq!(st.bytes_sent, expect_bytes, "rank {me}");
             assert_eq!(st.bytes_received, expect_bytes);
-            assert_eq!(tr.total_retransmits(), 0);
-            assert_eq!(tr.total_nacks(), 0);
+            assert_eq!(tr.count(Event::Retransmit), 0);
+            assert_eq!(tr.count(Event::Nack), 0);
         }
     }
 
@@ -1311,14 +1288,14 @@ mod tests {
         for (me, (st, tr, sum)) in res.iter().enumerate() {
             assert_eq!(st.received, (p * 200) as u64, "rank {me}");
             assert_eq!(*sum, expected_checksum(p, me, 200));
-            assert!(tr.total_fault_corrupts() > 0, "30% corruption must fire");
+            assert!(tr.count(Event::FaultCorrupt) > 0, "30% corruption must fire");
             assert_eq!(
-                tr.total_corrupt_detected(),
-                tr.total_fault_corrupts(),
+                tr.count(Event::CorruptDetected),
+                tr.count(Event::FaultCorrupt),
                 "every injected flip must be caught by the CRC"
             );
-            assert!(tr.total_nacks() > 0);
-            assert!(tr.total_retransmits() > 0, "corrupt frames must be re-shipped");
+            assert!(tr.count(Event::Nack) > 0);
+            assert!(tr.count(Event::Retransmit) > 0, "corrupt frames must be re-shipped");
         }
     }
 
@@ -1332,9 +1309,9 @@ mod tests {
         for (me, (st, tr, sum)) in res.iter().enumerate() {
             assert_eq!(st.received, (p * 200) as u64, "rank {me}");
             assert_eq!(*sum, expected_checksum(p, me, 200));
-            assert!(tr.total_fault_drops() > 0, "30% loss must fire");
-            assert!(tr.total_retransmits() > 0, "lost frames must be re-shipped");
-            assert_eq!(tr.total_corrupt_detected(), 0, "pure loss corrupts nothing");
+            assert!(tr.count(Event::FaultDrop) > 0, "30% loss must fire");
+            assert!(tr.count(Event::Retransmit) > 0, "lost frames must be re-shipped");
+            assert_eq!(tr.count(Event::CorruptDetected), 0, "pure loss corrupts nothing");
         }
     }
 
@@ -1356,9 +1333,9 @@ mod tests {
         for (me, (st, tr, sum)) in res.iter().enumerate() {
             assert_eq!(st.received, (p * 30) as u64, "rank {me}");
             assert_eq!(*sum, expected_checksum(p, me, 30), "rank {me} payloads differ");
-            assert_eq!(tr.total_corrupt_detected(), tr.total_fault_corrupts());
-            corrupts = tr.total_fault_corrupts();
-            drops = tr.total_fault_drops();
+            assert_eq!(tr.count(Event::CorruptDetected), tr.count(Event::FaultCorrupt));
+            corrupts = tr.count(Event::FaultCorrupt);
+            drops = tr.count(Event::FaultDrop);
         }
         assert!(corrupts + drops > 0, "lossy() must exercise the repair path");
     }

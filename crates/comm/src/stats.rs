@@ -1,4 +1,4 @@
-//! Per-channel-pair traffic counters.
+//! Per-channel-pair traffic counters, and the event table.
 //!
 //! The paper argues (Section III-B) that dense all-to-all communication is a
 //! primary scaling obstacle and that routed mailboxes cut the number of
@@ -8,9 +8,170 @@
 //! (source, destination) pair, in messages, payload items, *and bytes* —
 //! the paper's evaluation is ultimately about bytes on the wire
 //! (64-byte visitor messages, Section VI), so byte volume is first-class.
-//! Bounded channels additionally record backpressure stalls per pair.
+//!
+//! Everything else a channel set counts is reproduction infrastructure and
+//! is kept as *data*: one [`Event`] variant per counter, one flat table
+//! indexed `(event, src, dst)`, one [`ChannelStats::bump`]. Plumbing loops
+//! over [`Event::ALL`]; only the site that causes an event and the
+//! assertion that checks one name a variant (DESIGN.md §6 "Counters").
 
+use std::ops::{AddAssign, Index};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Which rank's view ([`ChannelStatsSnapshot::at_rank`]) an event bumped at
+/// `(src, dst)` is attributed to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Observer {
+    /// The sending rank `src` (row sum of the pair matrix).
+    Sender,
+    /// The receiving rank `dst` (column sum).
+    Receiver,
+    /// A per-rank event, not a per-pair one: bumped at `(rank, rank)`.
+    Rank,
+}
+
+/// One countable event of a channel set: backpressure, injected faults,
+/// integrity repair, checkpoint/restart, query lifecycle. All zero on a
+/// fault-free, uncheckpointed run apart from [`Event::Stall`]. None ever
+/// moves the `msgs`/`items`/`bytes` matrices — duplicate copies and
+/// retransmitted frames are recorded here only — so the conservation
+/// invariants (bytes sent == bytes received) hold under any fault plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Event {
+    /// A send src -> dst found its bounded channel full (each retry loop
+    /// iteration counts once).
+    Stall,
+    /// A message src -> dst was held back by an injected delay.
+    FaultDelay,
+    /// A message src -> dst was delivered ahead of an earlier arrival.
+    FaultReorder,
+    /// A frame src -> dst was shipped twice by the fault layer (counted at
+    /// the sender; the other injected faults are observed at the receiver).
+    FaultDup,
+    /// A duplicate delivery src -> dst was dropped by the dedup window.
+    FaultDedup,
+    /// An arrival src -> dst opened an injected receive-stall window.
+    FaultStall,
+    /// A delivery src -> dst paid the slow-rank throttle at receiver `dst`.
+    FaultThrottle,
+    /// A frame src -> dst had a payload bit flipped by the fault layer.
+    FaultCorrupt,
+    /// A frame src -> dst was discarded (lost) by the fault layer.
+    FaultDrop,
+    /// Receiver `dst` detected a CRC mismatch on a frame from `src`. On a
+    /// lossy run every injected corruption must show up here — the sweeps'
+    /// zero-undetected-corruption invariant. A recovery event: a
+    /// consequence of a fault, not a fault.
+    CorruptDetected,
+    /// Receiver `dst` NACKed a frame back to sender `src` (a gap or a CRC
+    /// rejection). A recovery event, not a fault.
+    Nack,
+    /// Sender `src` retransmitted a buffered frame to `dst` (NACK- or
+    /// timeout-driven). A recovery event, not a fault; like duplicate
+    /// copies, retransmitted frames never count as messages.
+    Retransmit,
+    /// The rank committed one complete checkpoint epoch (checkpointed
+    /// traversals only; includes the epoch-0 checkpoint).
+    Checkpoint,
+    /// The rank was the injected crash victim: it died mid-write and its
+    /// checkpoint epoch is torn. A process fault, not a message fault.
+    Crash,
+    /// The rank rewound to an earlier checkpoint epoch.
+    Restore,
+    /// The rank applied one cancel record to a live query.
+    Cancel,
+    /// The rank aborted a traversal on a watchdog verdict.
+    Abort,
+}
+
+impl Event {
+    pub const COUNT: usize = 17;
+
+    /// One row per event, in declaration order: the CSV/console column
+    /// name, which side of the `(src, dst)` pair observes it, and whether
+    /// the fault layer *injected* it into message traffic. Recovery events
+    /// (detections, NACKs, retransmits) are consequences, not faults;
+    /// crashes are process faults, not message faults.
+    const ROWS: [(Event, &'static str, Observer, bool); Event::COUNT] = [
+        (Event::Stall, "stalls", Observer::Sender, false),
+        (Event::FaultDelay, "fault_delays", Observer::Receiver, true),
+        (Event::FaultReorder, "fault_reorders", Observer::Receiver, true),
+        (Event::FaultDup, "fault_dups", Observer::Sender, true),
+        (Event::FaultDedup, "fault_dedups", Observer::Receiver, true),
+        (Event::FaultStall, "fault_stalls", Observer::Receiver, true),
+        (Event::FaultThrottle, "fault_throttles", Observer::Receiver, true),
+        (Event::FaultCorrupt, "fault_corrupts", Observer::Receiver, true),
+        (Event::FaultDrop, "fault_drops", Observer::Receiver, true),
+        (Event::CorruptDetected, "corrupt_detected", Observer::Receiver, false),
+        (Event::Nack, "nacks", Observer::Receiver, false),
+        (Event::Retransmit, "retransmits", Observer::Sender, false),
+        (Event::Checkpoint, "checkpoints", Observer::Rank, false),
+        (Event::Crash, "crashes", Observer::Rank, false),
+        (Event::Restore, "restores", Observer::Rank, false),
+        (Event::Cancel, "cancels", Observer::Rank, false),
+        (Event::Abort, "aborts", Observer::Rank, false),
+    ];
+
+    /// Every event, in table (and CSV column) order.
+    pub const ALL: [Event; Event::COUNT] = {
+        let mut all = [Event::Stall; Event::COUNT];
+        let mut i = 0;
+        while i < Event::COUNT {
+            all[i] = Event::ROWS[i].0;
+            i += 1;
+        }
+        all
+    };
+
+    /// Column name for CSV and console tables.
+    pub fn name(self) -> &'static str {
+        Event::ROWS[self as usize].1
+    }
+
+    /// Which side of the `(src, dst)` pair observes the event.
+    pub fn observer(self) -> Observer {
+        Event::ROWS[self as usize].2
+    }
+
+    /// Whether the fault layer injected this event (the eight `Fault*`).
+    pub fn is_injected_fault(self) -> bool {
+        Event::ROWS[self as usize].3
+    }
+}
+
+/// One count per [`Event`]: a rank's view, or a world total.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EventCounts([u64; Event::COUNT]);
+
+impl EventCounts {
+    /// `(event, count)` in [`Event::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (Event, u64)> + '_ {
+        Event::ALL.iter().map(|&ev| (ev, self[ev]))
+    }
+
+    /// Sum of the injected-fault events ([`Event::is_injected_fault`]) —
+    /// nonzero iff the fault layer perturbed at least one message.
+    pub fn injected_faults(&self) -> u64 {
+        self.iter().filter(|(ev, _)| ev.is_injected_fault()).map(|(_, n)| n).sum()
+    }
+}
+
+impl Index<Event> for EventCounts {
+    type Output = u64;
+
+    #[inline]
+    fn index(&self, ev: Event) -> &u64 {
+        &self.0[ev as usize]
+    }
+}
+
+impl AddAssign for EventCounts {
+    fn add_assign(&mut self, o: Self) {
+        for (a, b) in self.0.iter_mut().zip(o.0) {
+            *a += b;
+        }
+    }
+}
 
 /// Shared traffic matrix for one transport channel set.
 ///
@@ -28,68 +189,20 @@ pub struct ChannelStats {
     /// Exact frame sizes on the byte-framed mailbox path; an in-memory
     /// payload estimate on typed control channels (collectives).
     bytes: Vec<AtomicU64>,
-    /// `stalls[src * ranks + dst]`: failed sends into a full bounded
-    /// channel (each retry loop iteration counts once).
-    stalls: Vec<AtomicU64>,
-    /// Fault-injection counters, one matrix per fault type, all indexed
-    /// `src * ranks + dst` like the traffic matrices above. Zero on
-    /// fault-free runs. `dup` counts duplicated frames at the sender;
-    /// the rest count events observed at the receiver.
-    fault_delays: Vec<AtomicU64>,
-    fault_reorders: Vec<AtomicU64>,
-    fault_dups: Vec<AtomicU64>,
-    fault_dedups: Vec<AtomicU64>,
-    fault_stalls: Vec<AtomicU64>,
-    fault_throttles: Vec<AtomicU64>,
-    /// Injected integrity faults: frames whose bytes were flipped and
-    /// frames discarded before delivery, both observed at the receiver.
-    fault_corrupts: Vec<AtomicU64>,
-    fault_drops: Vec<AtomicU64>,
-    /// Integrity-layer recovery events: CRC failures detected at the
-    /// receiver, NACKs it sent back, and retransmissions the sender shipped
-    /// (NACK- or timeout-driven). Like duplicate copies, retransmitted
-    /// frames never appear in the `msgs`/`items`/`bytes` matrices.
-    corrupt_detected: Vec<AtomicU64>,
-    nacks: Vec<AtomicU64>,
-    retransmits: Vec<AtomicU64>,
-    /// Checkpoint/restart events, indexed by rank (they are per-rank, not
-    /// per-pair): complete checkpoint epochs written, torn writes from an
-    /// injected crash, and restores performed.
-    checkpoints: Vec<AtomicU64>,
-    crashes: Vec<AtomicU64>,
-    restores: Vec<AtomicU64>,
-    /// Per-rank lifecycle events: cancel records applied, traversals
-    /// aborted by the progress watchdog.
-    cancels: Vec<AtomicU64>,
-    aborts: Vec<AtomicU64>,
+    /// `events[(ev * ranks + src) * ranks + dst]`: one pair matrix per
+    /// [`Event`]; per-rank events sit on the diagonal.
+    events: Vec<AtomicU64>,
 }
 
 impl ChannelStats {
     pub fn new(ranks: usize) -> Self {
-        let zeros = || (0..ranks * ranks).map(|_| AtomicU64::new(0)).collect();
-        let per_rank = || (0..ranks).map(|_| AtomicU64::new(0)).collect();
+        let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
         Self {
             ranks,
-            msgs: zeros(),
-            items: zeros(),
-            bytes: zeros(),
-            stalls: zeros(),
-            fault_delays: zeros(),
-            fault_reorders: zeros(),
-            fault_dups: zeros(),
-            fault_dedups: zeros(),
-            fault_stalls: zeros(),
-            fault_throttles: zeros(),
-            fault_corrupts: zeros(),
-            fault_drops: zeros(),
-            corrupt_detected: zeros(),
-            nacks: zeros(),
-            retransmits: zeros(),
-            checkpoints: per_rank(),
-            crashes: per_rank(),
-            restores: per_rank(),
-            cancels: per_rank(),
-            aborts: per_rank(),
+            msgs: zeros(ranks * ranks),
+            items: zeros(ranks * ranks),
+            bytes: zeros(ranks * ranks),
+            events: zeros(Event::COUNT * ranks * ranks),
         }
     }
 
@@ -101,109 +214,13 @@ impl ChannelStats {
         self.bytes[i].fetch_add(bytes, Ordering::Relaxed);
     }
 
+    /// Count one `ev` on the pair src -> dst (`src == dst == rank` for the
+    /// per-rank events).
     #[inline]
-    pub fn record_stall(&self, src: usize, dst: usize) {
-        self.stalls[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A message src -> dst was held back by an injected delay.
-    #[inline]
-    pub fn record_fault_delay(&self, src: usize, dst: usize) {
-        self.fault_delays[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A message src -> dst was delivered ahead of an earlier arrival.
-    #[inline]
-    pub fn record_fault_reorder(&self, src: usize, dst: usize) {
-        self.fault_reorders[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A frame src -> dst was shipped twice by the fault layer.
-    #[inline]
-    pub fn record_fault_dup(&self, src: usize, dst: usize) {
-        self.fault_dups[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A duplicate delivery src -> dst was dropped by the dedup window.
-    #[inline]
-    pub fn record_fault_dedup(&self, src: usize, dst: usize) {
-        self.fault_dedups[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An arrival src -> dst opened an injected receive-stall window.
-    #[inline]
-    pub fn record_fault_stall(&self, src: usize, dst: usize) {
-        self.fault_stalls[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A delivery src -> dst paid the slow-rank throttle at receiver `dst`.
-    #[inline]
-    pub fn record_fault_throttle(&self, src: usize, dst: usize) {
-        self.fault_throttles[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A frame src -> dst had a payload bit flipped by the fault layer.
-    #[inline]
-    pub fn record_fault_corrupt(&self, src: usize, dst: usize) {
-        self.fault_corrupts[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A frame src -> dst was discarded (lost) by the fault layer.
-    #[inline]
-    pub fn record_fault_drop(&self, src: usize, dst: usize) {
-        self.fault_drops[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Receiver `dst` detected a CRC mismatch on a frame from `src`.
-    #[inline]
-    pub fn record_corrupt_detected(&self, src: usize, dst: usize) {
-        self.corrupt_detected[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Receiver `dst` NACKed a frame back to sender `src`.
-    #[inline]
-    pub fn record_nack(&self, src: usize, dst: usize) {
-        self.nacks[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sender `src` retransmitted a buffered frame to `dst`.
-    #[inline]
-    pub fn record_retransmit(&self, src: usize, dst: usize) {
-        self.retransmits[src * self.ranks + dst].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Rank `rank` committed one complete checkpoint epoch.
-    #[inline]
-    pub fn record_checkpoint(&self, rank: usize) {
-        self.checkpoints[rank].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Rank `rank` died mid-write (its checkpoint epoch is torn).
-    #[inline]
-    pub fn record_crash(&self, rank: usize) {
-        self.crashes[rank].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Rank `rank` rewound to an earlier checkpoint epoch.
-    #[inline]
-    pub fn record_restore(&self, rank: usize) {
-        self.restores[rank].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Rank `rank` applied one cancel record to a live query.
-    #[inline]
-    pub fn record_cancel(&self, rank: usize) {
-        self.cancels[rank].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Rank `rank` aborted a traversal on a watchdog verdict.
-    #[inline]
-    pub fn record_abort(&self, rank: usize) {
-        self.aborts[rank].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn ranks(&self) -> usize {
-        self.ranks
+    pub fn bump(&self, ev: Event, src: usize, dst: usize) {
+        debug_assert!(ev.observer() != Observer::Rank || src == dst, "{ev:?} is per-rank");
+        self.events[(ev as usize * self.ranks + src) * self.ranks + dst]
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Immutable snapshot for post-run analysis.
@@ -214,23 +231,7 @@ impl ChannelStats {
             msgs: load(&self.msgs),
             items: load(&self.items),
             bytes: load(&self.bytes),
-            stalls: load(&self.stalls),
-            fault_delays: load(&self.fault_delays),
-            fault_reorders: load(&self.fault_reorders),
-            fault_dups: load(&self.fault_dups),
-            fault_dedups: load(&self.fault_dedups),
-            fault_stalls: load(&self.fault_stalls),
-            fault_throttles: load(&self.fault_throttles),
-            fault_corrupts: load(&self.fault_corrupts),
-            fault_drops: load(&self.fault_drops),
-            corrupt_detected: load(&self.corrupt_detected),
-            nacks: load(&self.nacks),
-            retransmits: load(&self.retransmits),
-            checkpoints: load(&self.checkpoints),
-            crashes: load(&self.crashes),
-            restores: load(&self.restores),
-            cancels: load(&self.cancels),
-            aborts: load(&self.aborts),
+            events: load(&self.events),
         }
     }
 }
@@ -242,29 +243,9 @@ pub struct ChannelStatsSnapshot {
     pub msgs: Vec<u64>,
     pub items: Vec<u64>,
     pub bytes: Vec<u64>,
-    pub stalls: Vec<u64>,
-    pub fault_delays: Vec<u64>,
-    pub fault_reorders: Vec<u64>,
-    pub fault_dups: Vec<u64>,
-    pub fault_dedups: Vec<u64>,
-    pub fault_stalls: Vec<u64>,
-    pub fault_throttles: Vec<u64>,
-    /// Injected integrity faults (bit flips / frame losses) per pair.
-    pub fault_corrupts: Vec<u64>,
-    pub fault_drops: Vec<u64>,
-    /// Integrity recovery events per pair: CRC failures detected, NACKs
-    /// sent, retransmissions shipped.
-    pub corrupt_detected: Vec<u64>,
-    pub nacks: Vec<u64>,
-    pub retransmits: Vec<u64>,
-    /// Per-rank (length `ranks`, not a matrix): complete checkpoint epochs
-    /// written, injected mid-write crashes, and restores performed.
-    pub checkpoints: Vec<u64>,
-    pub crashes: Vec<u64>,
-    pub restores: Vec<u64>,
-    /// Per-rank lifecycle events: cancels applied, watchdog aborts.
-    pub cancels: Vec<u64>,
-    pub aborts: Vec<u64>,
+    /// `(event, src, dst)` table; read through [`Self::count`],
+    /// [`Self::between`] and [`Self::at_rank`].
+    events: Vec<u64>,
 }
 
 impl ChannelStatsSnapshot {
@@ -283,11 +264,6 @@ impl ChannelStatsSnapshot {
         self.bytes[src * self.ranks + dst]
     }
 
-    #[inline]
-    pub fn stalls_between(&self, src: usize, dst: usize) -> u64 {
-        self.stalls[src * self.ranks + dst]
-    }
-
     pub fn total_msgs(&self) -> u64 {
         self.msgs.iter().sum()
     }
@@ -300,87 +276,38 @@ impl ChannelStatsSnapshot {
         self.bytes.iter().sum()
     }
 
-    pub fn total_stalls(&self) -> u64 {
-        self.stalls.iter().sum()
+    /// The pair matrix of one event, row-major `src * ranks + dst`.
+    fn matrix(&self, ev: Event) -> &[u64] {
+        let n = self.ranks * self.ranks;
+        &self.events[ev as usize * n..][..n]
     }
 
-    pub fn total_fault_delays(&self) -> u64 {
-        self.fault_delays.iter().sum()
+    /// World total of `ev` on this channel set.
+    pub fn count(&self, ev: Event) -> u64 {
+        self.matrix(ev).iter().sum()
     }
 
-    pub fn total_fault_reorders(&self) -> u64 {
-        self.fault_reorders.iter().sum()
+    /// `ev` count on the pair src -> dst (`src == dst` for per-rank events).
+    #[inline]
+    pub fn between(&self, ev: Event, src: usize, dst: usize) -> u64 {
+        self.matrix(ev)[src * self.ranks + dst]
     }
 
-    pub fn total_fault_dups(&self) -> u64 {
-        self.fault_dups.iter().sum()
-    }
-
-    pub fn total_fault_dedups(&self) -> u64 {
-        self.fault_dedups.iter().sum()
-    }
-
-    pub fn total_fault_stalls(&self) -> u64 {
-        self.fault_stalls.iter().sum()
-    }
-
-    pub fn total_fault_throttles(&self) -> u64 {
-        self.fault_throttles.iter().sum()
-    }
-
-    pub fn total_fault_corrupts(&self) -> u64 {
-        self.fault_corrupts.iter().sum()
-    }
-
-    pub fn total_fault_drops(&self) -> u64 {
-        self.fault_drops.iter().sum()
-    }
-
-    pub fn total_corrupt_detected(&self) -> u64 {
-        self.corrupt_detected.iter().sum()
-    }
-
-    pub fn total_nacks(&self) -> u64 {
-        self.nacks.iter().sum()
-    }
-
-    pub fn total_retransmits(&self) -> u64 {
-        self.retransmits.iter().sum()
-    }
-
-    pub fn total_checkpoints(&self) -> u64 {
-        self.checkpoints.iter().sum()
-    }
-
-    pub fn total_crashes(&self) -> u64 {
-        self.crashes.iter().sum()
-    }
-
-    pub fn total_restores(&self) -> u64 {
-        self.restores.iter().sum()
-    }
-
-    pub fn total_cancels(&self) -> u64 {
-        self.cancels.iter().sum()
-    }
-
-    pub fn total_aborts(&self) -> u64 {
-        self.aborts.iter().sum()
-    }
-
-    /// Sum of all fault events of every type — nonzero iff the fault layer
-    /// perturbed at least one message on this channel set. Recovery events
-    /// (detections, NACKs, retransmits) are consequences, not faults, and
-    /// are excluded.
-    pub fn total_faults(&self) -> u64 {
-        self.total_fault_delays()
-            + self.total_fault_reorders()
-            + self.total_fault_dups()
-            + self.total_fault_dedups()
-            + self.total_fault_stalls()
-            + self.total_fault_throttles()
-            + self.total_fault_corrupts()
-            + self.total_fault_drops()
+    /// The events `rank` observed: the column sum for receiver-observed
+    /// events, the row sum for sender-observed ones, the diagonal entry for
+    /// per-rank ones ([`Event::observer`]). The views of all ranks
+    /// partition the table: summed, they equal [`Self::count`].
+    pub fn at_rank(&self, rank: usize) -> EventCounts {
+        let mut out = EventCounts::default();
+        for ev in Event::ALL {
+            let peers = 0..self.ranks;
+            out.0[ev as usize] = match ev.observer() {
+                Observer::Sender => peers.map(|dst| self.between(ev, rank, dst)).sum(),
+                Observer::Receiver => peers.map(|src| self.between(ev, src, rank)).sum(),
+                Observer::Rank => self.between(ev, rank, rank),
+            };
+        }
+        out
     }
 
     /// Number of distinct destinations rank `src` ever sent to.
@@ -396,19 +323,20 @@ impl ChannelStatsSnapshot {
         (0..self.ranks).map(|r| self.channels_used_by(r)).max().unwrap_or(0)
     }
 
+    /// Column sums of a pair matrix: what each rank received.
+    fn received_per_rank(&self, m: &[u64]) -> Vec<u64> {
+        (0..self.ranks).map(|d| (0..self.ranks).map(|s| m[s * self.ranks + d]).sum()).collect()
+    }
+
     /// Payload items received per rank; the spread of this distribution shows
     /// communication hotspots (the paper's high in-degree hub problem).
     pub fn items_received_per_rank(&self) -> Vec<u64> {
-        (0..self.ranks)
-            .map(|d| (0..self.ranks).map(|s| self.items[s * self.ranks + d]).sum())
-            .collect()
+        self.received_per_rank(&self.items)
     }
 
     /// Wire bytes received per rank.
     pub fn bytes_received_per_rank(&self) -> Vec<u64> {
-        (0..self.ranks)
-            .map(|d| (0..self.ranks).map(|s| self.bytes[s * self.ranks + d]).sum())
-            .collect()
+        self.received_per_rank(&self.bytes)
     }
 
     /// max/mean imbalance of items received per rank (1.0 = perfectly even).
@@ -422,31 +350,30 @@ impl ChannelStatsSnapshot {
         per.iter().copied().max().unwrap_or(0) as f64 / mean
     }
 
+    /// `total` per transport message (0.0 before the first message).
+    fn per_msg(&self, total: u64) -> f64 {
+        match self.total_msgs() {
+            0 => 0.0,
+            m => total as f64 / m as f64,
+        }
+    }
+
     /// Mean payload items per transport message (the aggregation factor the
     /// paper's routed mailbox is designed to increase).
     pub fn aggregation_factor(&self) -> f64 {
-        let m = self.total_msgs();
-        if m == 0 {
-            0.0
-        } else {
-            self.total_items() as f64 / m as f64
-        }
+        self.per_msg(self.total_items())
     }
 
     /// Mean wire bytes per transport message.
     pub fn mean_msg_bytes(&self) -> f64 {
-        let m = self.total_msgs();
-        if m == 0 {
-            0.0
-        } else {
-            self.total_bytes() as f64 / m as f64
-        }
+        self.per_msg(self.total_bytes())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use havoq_util::testing::TestRng;
 
     #[test]
     fn record_and_snapshot() {
@@ -462,19 +389,6 @@ mod tests {
         assert_eq!(snap.total_msgs(), 3);
         assert_eq!(snap.total_items(), 16);
         assert_eq!(snap.total_bytes(), 159);
-    }
-
-    #[test]
-    fn stalls_are_tracked_per_pair() {
-        let s = ChannelStats::new(3);
-        s.record_stall(0, 2);
-        s.record_stall(0, 2);
-        s.record_stall(1, 0);
-        let snap = s.snapshot();
-        assert_eq!(snap.stalls_between(0, 2), 2);
-        assert_eq!(snap.stalls_between(1, 0), 1);
-        assert_eq!(snap.total_stalls(), 3);
-        assert_eq!(snap.total_msgs(), 0, "stalls are not messages");
     }
 
     #[test]
@@ -511,81 +425,73 @@ mod tests {
         assert!((snap.mean_msg_bytes() - 480.0).abs() < 1e-12);
     }
 
+    /// Every event, one row of the same table: bumped on an off-diagonal
+    /// pair (the diagonal for per-rank events) it shows up in `count`,
+    /// `between` and exactly the observing rank's `at_rank`, counts as an
+    /// injected fault iff `is_injected_fault`, and never as a message.
     #[test]
-    fn fault_counters_are_tracked_per_pair() {
-        let s = ChannelStats::new(3);
-        s.record_fault_delay(0, 1);
-        s.record_fault_delay(0, 1);
-        s.record_fault_reorder(1, 2);
-        s.record_fault_dup(2, 0);
-        s.record_fault_dedup(2, 0);
-        s.record_fault_stall(0, 2);
-        s.record_fault_throttle(1, 0);
-        s.record_fault_corrupt(0, 1);
-        s.record_fault_drop(1, 2);
-        let snap = s.snapshot();
-        assert_eq!(snap.fault_delays[1], 2);
-        assert_eq!(snap.total_fault_delays(), 2);
-        assert_eq!(snap.total_fault_reorders(), 1);
-        assert_eq!(snap.total_fault_dups(), 1);
-        assert_eq!(snap.total_fault_dedups(), 1);
-        assert_eq!(snap.total_fault_stalls(), 1);
-        assert_eq!(snap.total_fault_throttles(), 1);
-        assert_eq!(snap.total_fault_corrupts(), 1);
-        assert_eq!(snap.total_fault_drops(), 1);
-        assert_eq!(snap.total_faults(), 9);
-        assert_eq!(snap.total_msgs(), 0, "fault events are not messages");
-    }
+    fn every_event_is_counted_and_attributed_to_its_observer() {
+        let injected = [
+            Event::FaultDelay,
+            Event::FaultReorder,
+            Event::FaultDup,
+            Event::FaultDedup,
+            Event::FaultStall,
+            Event::FaultThrottle,
+            Event::FaultCorrupt,
+            Event::FaultDrop,
+        ];
+        let mut names = std::collections::HashSet::new();
+        for (i, ev) in Event::ALL.into_iter().enumerate() {
+            assert_eq!(ev as usize, i, "Event::ALL is in discriminant order");
+            assert!(names.insert(ev.name()), "{ev:?}: column name reused");
+            assert_eq!(ev.is_injected_fault(), injected.contains(&ev), "{ev:?}");
 
-    #[test]
-    fn integrity_recovery_counters_are_not_faults() {
-        let s = ChannelStats::new(2);
-        s.record_corrupt_detected(0, 1);
-        s.record_corrupt_detected(0, 1);
-        s.record_nack(0, 1);
-        s.record_retransmit(0, 1);
-        let snap = s.snapshot();
-        assert_eq!(snap.total_corrupt_detected(), 2);
-        assert_eq!(snap.total_nacks(), 1);
-        assert_eq!(snap.total_retransmits(), 1);
-        assert_eq!(snap.total_faults(), 0, "recovery events are consequences, not faults");
-        assert_eq!(snap.total_msgs(), 0, "retransmits never count as messages");
-    }
+            let (src, dst, observer) = match ev.observer() {
+                Observer::Sender => (2, 0, 2),
+                Observer::Receiver => (2, 0, 0),
+                Observer::Rank => (1, 1, 1),
+            };
+            let s = ChannelStats::new(3);
+            s.bump(ev, src, dst);
+            s.bump(ev, src, dst);
+            let snap = s.snapshot();
+            assert_eq!(snap.count(ev), 2, "{ev:?}");
+            assert_eq!(snap.between(ev, src, dst), 2, "{ev:?}");
+            assert_eq!(snap.between(ev, dst, (src + 1) % 3), 0, "{ev:?}");
+            for rank in 0..3 {
+                let view = snap.at_rank(rank);
+                for (other, n) in view.iter() {
+                    let expect = if other == ev && rank == observer { 2 } else { 0 };
+                    assert_eq!(n, expect, "{ev:?} bumped: rank {rank} sees {other:?}");
+                }
+                let faults = if rank == observer && ev.is_injected_fault() { 2 } else { 0 };
+                assert_eq!(view.injected_faults(), faults, "{ev:?} at rank {rank}");
+            }
+            assert_eq!(snap.total_msgs(), 0, "{ev:?}: events are not messages");
+            assert_eq!(snap.total_bytes(), 0, "{ev:?}: events carry no counted bytes");
+        }
 
-    #[test]
-    fn checkpoint_counters_are_tracked_per_rank() {
-        let s = ChannelStats::new(3);
-        s.record_checkpoint(0);
-        s.record_checkpoint(0);
-        s.record_checkpoint(1);
-        s.record_crash(2);
-        s.record_restore(0);
-        s.record_restore(1);
-        s.record_restore(2);
+        // The per-rank views partition the table: nothing double-counted,
+        // nothing dropped, whatever the fill.
+        let p = 4;
+        let s = ChannelStats::new(p);
+        let mut rng = TestRng::new(0x5eed_c0de);
+        for _ in 0..2000 {
+            let ev = Event::ALL[rng.range_usize(0, Event::COUNT)];
+            let src = rng.range_usize(0, p);
+            let dst = if ev.observer() == Observer::Rank { src } else { rng.range_usize(0, p) };
+            s.bump(ev, src, dst);
+        }
         let snap = s.snapshot();
-        assert_eq!(snap.checkpoints, vec![2, 1, 0]);
-        assert_eq!(snap.crashes, vec![0, 0, 1]);
-        assert_eq!(snap.total_checkpoints(), 3);
-        assert_eq!(snap.total_crashes(), 1);
-        assert_eq!(snap.total_restores(), 3);
-        assert_eq!(snap.total_msgs(), 0, "checkpoint events are not messages");
-        assert_eq!(snap.total_faults(), 0, "process faults are not message faults");
-    }
-
-    #[test]
-    fn lifecycle_counters_are_tracked_per_rank() {
-        let s = ChannelStats::new(3);
-        s.record_cancel(0);
-        s.record_cancel(0);
-        s.record_cancel(2);
-        s.record_abort(1);
-        let snap = s.snapshot();
-        assert_eq!(snap.cancels, vec![2, 0, 1]);
-        assert_eq!(snap.aborts, vec![0, 1, 0]);
-        assert_eq!(snap.total_cancels(), 3);
-        assert_eq!(snap.total_aborts(), 1);
-        assert_eq!(snap.total_msgs(), 0, "lifecycle events are not messages");
-        assert_eq!(snap.total_faults(), 0, "lifecycle events are not faults");
+        let mut world = EventCounts::default();
+        for rank in 0..p {
+            world += snap.at_rank(rank);
+        }
+        for (ev, n) in world.iter() {
+            assert_eq!(n, snap.count(ev), "{ev:?}: rank views do not sum to the world total");
+        }
+        assert_eq!(world.iter().map(|(_, n)| n).sum::<u64>(), 2000);
     }
 
     #[test]
@@ -593,8 +499,7 @@ mod tests {
         let snap = ChannelStats::new(4).snapshot();
         assert_eq!(snap.total_msgs(), 0);
         assert_eq!(snap.total_bytes(), 0);
-        assert_eq!(snap.total_stalls(), 0);
-        assert_eq!(snap.total_faults(), 0);
+        assert_eq!(snap.at_rank(0), EventCounts::default());
         assert_eq!(snap.aggregation_factor(), 0.0);
         assert_eq!(snap.mean_msg_bytes(), 0.0);
         assert_eq!(snap.receive_imbalance(), 1.0);

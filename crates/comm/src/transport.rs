@@ -9,7 +9,7 @@ use crate::chan::{Receiver, RecvTimeoutError, TrySendError};
 use crate::fault::{FaultPlan, FaultState};
 use crate::registry::{ChannelSet, Wire, RESERVED_TAG_BASE};
 use crate::runtime::RankCtx;
-use crate::stats::{ChannelStats, ChannelStatsSnapshot};
+use crate::stats::{ChannelStats, ChannelStatsSnapshot, Event};
 
 /// A rank's endpoint of one typed channel set: it can send to any rank and
 /// receive messages addressed to itself. Unbounded sets never block on send
@@ -161,7 +161,7 @@ impl<M: Send + 'static> Transport<M> {
                 Ok(())
             }
             Err(TrySendError::Full(w)) => {
-                self.set.stats.record_stall(self.rank, dst);
+                self.set.stats.bump(Event::Stall, self.rank, dst);
                 Err(TrySendError::Full(w.msg))
             }
             Err(TrySendError::Disconnected(w)) => Err(TrySendError::Disconnected(w.msg)),
@@ -194,7 +194,7 @@ impl<M: Send + 'static> Transport<M> {
     pub fn send_duplicate(&self, dst: usize, msg: M) {
         debug_assert!(dst != self.rank, "loopback frames are never duplicated");
         let seq = self.peek_seq(dst).checked_sub(1).expect("send_duplicate before any send");
-        self.set.stats.record_fault_dup(self.rank, dst);
+        self.set.stats.bump(Event::FaultDup, self.rank, dst);
         let _ = self.set.senders[dst].send(Wire { src: self.rank as u32, seq, msg });
     }
 
@@ -205,7 +205,7 @@ impl<M: Send + 'static> Transport<M> {
     /// matrices — so conservation invariants still hold.
     pub(crate) fn send_retransmit(&self, dst: usize, seq: u64, msg: M) {
         debug_assert!(dst != self.rank, "loopback frames are never retransmitted");
-        self.set.stats.record_retransmit(self.rank, dst);
+        self.set.stats.bump(Event::Retransmit, self.rank, dst);
         let _ = self.set.senders[dst].send(Wire { src: self.rank as u32, seq, msg });
     }
 
@@ -302,6 +302,7 @@ impl<M: Send + 'static> Transport<M> {
 mod tests {
     use crate::fault::FaultConfig;
     use crate::runtime::CommWorld;
+    use crate::stats::Event;
 
     #[test]
     fn self_send_loops_back() {
@@ -388,7 +389,7 @@ mod tests {
             }
             let snap = ch.stats_snapshot();
             assert_eq!(snap.msgs_between(0, 0), 2, "failed send records no message");
-            assert_eq!(snap.stalls_between(0, 0), 1);
+            assert_eq!(snap.between(Event::Stall, 0, 0), 1);
             // draining frees a slot
             assert_eq!(ch.try_recv(), Some((0, 1)));
             assert!(ch.try_send_counted(0, 3, 1, 4).is_ok());
@@ -414,7 +415,7 @@ mod tests {
                 got.sort_unstable();
                 assert_eq!(got, (0..200).collect::<Vec<_>>());
                 let snap = ch.stats_snapshot();
-                assert_eq!(snap.total_fault_delays(), 200, "every message was delayed");
+                assert_eq!(snap.count(Event::FaultDelay), 200, "every message was delayed");
             }
             ctx.barrier();
         });
@@ -448,7 +449,7 @@ mod tests {
                 assert!(got.len() <= 2, "wedged channel released {got:?}");
                 assert_eq!(got, (0..got.len() as u64).collect::<Vec<_>>());
                 let snap = ch.stats_snapshot();
-                assert_eq!(snap.total_fault_stalls(), 1, "wedge records one stall");
+                assert_eq!(snap.count(Event::FaultStall), 1, "wedge records one stall");
             }
             ctx.barrier();
         });
@@ -485,14 +486,14 @@ mod tests {
                 // Keep ticking until every duplicate copy has arrived and
                 // been dropped; a 51st unique delivery never appears.
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                while ch.stats_snapshot().total_fault_dedups() < 50 {
+                while ch.stats_snapshot().count(Event::FaultDedup) < 50 {
                     assert!(std::time::Instant::now() < deadline, "duplicate drops never landed");
                     assert_eq!(ch.try_recv(), None, "a duplicate escaped the dedup window");
                     std::thread::yield_now();
                 }
                 let snap = ch.stats_snapshot();
-                assert_eq!(snap.total_fault_dups(), 50);
-                assert_eq!(snap.total_fault_dedups(), 50);
+                assert_eq!(snap.count(Event::FaultDup), 50);
+                assert_eq!(snap.count(Event::FaultDedup), 50);
                 assert_eq!(snap.msgs_between(0, 1), 50, "duplicates not counted as traffic");
             }
             ctx.barrier();

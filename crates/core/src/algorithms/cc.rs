@@ -1,7 +1,7 @@
 //! Connected components by asynchronous minimum-label propagation.
 //!
 //! One of the visitor algorithms of the authors' earlier shared/external
-//! memory work ([4] in the paper), included to show the framework carries
+//! memory work (\[4\] in the paper), included to show the framework carries
 //! beyond the three headline kernels. Every vertex starts labeled with its
 //! own id; visitors propagate the smallest label seen. The update is
 //! monotone and idempotent, so ghosts apply.

@@ -2,7 +2,7 @@
 //!
 //! The three algorithms of the paper's Section VI — [`bfs`], [`kcore`] and
 //! [`triangle`] — plus the two visitor algorithms of the authors' earlier
-//! shared/external-memory work ([4]) that the framework supports unchanged:
+//! shared/external-memory work (\[4\]) that the framework supports unchanged:
 //! [`cc`] (connected components) and [`sssp`] (single-source shortest
 //! paths, the prioritized-queue showcase).
 

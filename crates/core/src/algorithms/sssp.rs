@@ -1,5 +1,5 @@
 //! Single-source shortest paths — the prioritized-visitor-queue showcase
-//! from the authors' earlier work ([4] in the paper).
+//! from the authors' earlier work (\[4\] in the paper).
 //!
 //! The input graphs of this reproduction are unweighted, so weights are
 //! synthesized deterministically and symmetrically from the edge's

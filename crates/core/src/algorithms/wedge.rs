@@ -1,5 +1,5 @@
 //! Approximate triangle counting by wedge sampling (Seshadhri, Pinar &
-//! Kolda — reference [13], which the paper names as the natural extension
+//! Kolda — reference \[13\], which the paper names as the natural extension
 //! of its triangle-counting visitor).
 //!
 //! A *wedge* is a length-2 path (a — v — b); the global clustering

@@ -18,7 +18,7 @@
 //!   `(vertex, level+1, parent)` pushed through the ordinary CRC-framed
 //!   mailbox, so ghost filtering, split-vertex replica chains and the
 //!   integrity plane are inherited unchanged;
-//! - [`VisitorQueue::drain_round`] — the queue's one driver with the park
+//! - `VisitorQueue::drain_round` — the queue's one driver with the park
 //!   executor and one-round cuts — delivers a round to a non-terminal
 //!   quiescence cut and parks the surviving visitors, which are exactly
 //!   the next frontier (master and replica copies both);

@@ -19,7 +19,7 @@
 //! - [`algorithms`] — BFS (Algorithms 2–3), k-core decomposition
 //!   (Algorithms 4–5), triangle counting (Algorithms 6–7), plus the
 //!   connected-components and SSSP visitors of the paper's earlier
-//!   shared-memory work [4], which the framework supports unchanged.
+//!   shared-memory work \[4\], which the framework supports unchanged.
 //! - [`rounds`] — the Section VI-D "parallel rounds" analysis model: an
 //!   idealized round-synchronous executor for validating the asymptotic
 //!   visitor bounds empirically.

@@ -40,7 +40,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use havoq_comm::{CancelRecord, CutVerdict, Mailbox, RankCtx};
+use havoq_comm::{CancelRecord, CutVerdict, Event, Mailbox, RankCtx};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
 use havoq_util::parallel::{AtomicBitVec, LockedSlots, PerWorker, WorkerPool};
@@ -311,7 +311,7 @@ pub fn bfs_batch_lifecycle<const K: usize>(
                 }
             }
             ledger.retire(live);
-            cancel_plane.mb.channel_stats().record_abort(ctx.rank());
+            q.bump(Event::Abort);
             break;
         }
 
@@ -323,7 +323,7 @@ pub fn bfs_batch_lifecycle<const K: usize>(
             if qi < width && outcomes[qi].is_none() {
                 outcomes[qi] = Some(QueryOutcome::Cancelled);
                 ledger.retire(1 << qi);
-                cancel_plane.mb.channel_stats().record_cancel(ctx.rank());
+                q.bump(Event::Cancel);
             }
         }
         // 2. Budgets: pure functions of the globally agreed round counter
@@ -536,6 +536,10 @@ mod tests {
         }
         // the cancelled query's partial result is still well-formed
         assert!(runs[0].queries[3].visited_count >= 1);
+        for (rank, r) in runs.iter().enumerate() {
+            assert_eq!(r.stats.events[Event::Cancel], 1, "rank {rank} applied the one record");
+            assert_eq!(r.stats.events[Event::Abort], 0, "rank {rank}");
+        }
     }
 
     /// Everything except `executed_global`, which counts per-copy claim

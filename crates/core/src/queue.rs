@@ -23,14 +23,23 @@
 //! Visitors with equal algorithm priority are ordered by vertex id, the
 //! Section V-A locality optimization that makes semi-external adjacency
 //! reads page-sequential.
+//!
+//! `stats()` reports per traversal (DESIGN.md §6 "Counters"): the queue's
+//! own counters, `events` — this rank's view of the channel's event table —
+//! and the storage layers' `cache` / `io` / `csr` snapshots.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use havoq_comm::{CutVerdict, Mailbox, MailboxConfig, Quiescence, RankCtx, SendShard, WireCodec};
+use havoq_comm::{
+    CutVerdict, Event, EventCounts, Mailbox, MailboxConfig, Quiescence, RankCtx, SendShard,
+    WireCodec,
+};
+use havoq_graph::csr::CsrStorageSnapshot;
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
+use havoq_nvram::{CacheStatsSnapshot, IoStatsSnapshot};
 use havoq_util::parallel::{AtomicBitVec, LockedSlots, PerWorker, WorkerPool};
 
 use crate::checkpoint::{CheckpointLog, CheckpointSpec, QueueCheckpoint, QueueCounters};
@@ -122,51 +131,16 @@ pub struct TraversalStats {
     pub backpressure_stalls: u64,
     /// Mean fill ratio of shipped frames in `(0, 1]` (0.0 if none shipped).
     pub mean_frame_fill: f64,
-    /// Injected-fault events observed by this rank's mailbox channel (all
-    /// zero on fault-free runs): frames held by a delay, deliveries that
-    /// overtook an earlier arrival, frames this rank shipped twice,
-    /// duplicate deliveries dropped, receive-stall windows opened, and
-    /// deliveries that paid the slow-rank throttle.
-    pub fault_delayed: u64,
-    pub fault_reordered: u64,
-    pub fault_duplicated: u64,
-    pub fault_deduped: u64,
-    pub fault_stalled: u64,
-    pub fault_throttled: u64,
-    /// Frames arriving at this rank with an injected bit flip / injected
-    /// wire loss (all zero on fault-free runs).
-    pub fault_corrupted: u64,
-    pub frames_dropped_injected: u64,
-    /// Integrity-layer recovery observed by this rank: corrupt frames its
-    /// CRC check rejected, NACKs it sent for gaps/rejections, and
-    /// retransmissions it performed as a sender. On a lossy run every
-    /// injected corruption must show up in `corrupt_frames_detected` —
-    /// the sweep's zero-undetected-corruption invariant.
-    pub corrupt_frames_detected: u64,
-    pub nacks_sent: u64,
-    pub retransmits: u64,
+    /// This rank's view of the traversal channel's event table
+    /// (`ChannelStatsSnapshot::at_rank`): injected faults and repair it
+    /// observed, its checkpoints, crashes and restores, lifecycle cancels
+    /// and aborts. All zero on a fault-free, uncheckpointed run apart from
+    /// `Event::Stall`.
+    pub events: EventCounts,
     /// Wall-clock time inside `do_traversal`.
     pub elapsed: Duration,
-    /// Time this rank spent blocked on demand page fills (semi-external
-    /// storage only; zero for in-memory runs).
-    pub io_stall: Duration,
-    /// Time this rank spent writing dirty victims inline on the access path
-    /// (eviction stalls; driven to zero by async write-behind).
-    pub evict_stall: Duration,
-    /// Mean sampled depth of the async I/O request queue (0.0 in sync mode
-    /// or in-memory runs).
-    pub io_avg_queue_depth: f64,
-    /// Peak outstanding async I/O requests observed.
-    pub io_queue_peak: u64,
-    /// Checkpoint epochs this rank committed (checkpointed traversals
-    /// only; includes the epoch-0 checkpoint).
-    pub checkpoints_written: u64,
     /// Payload bytes serialized into committed checkpoints.
     pub checkpoint_bytes: u64,
-    /// Times this rank was the injected crash victim (its epoch was torn).
-    pub crashes: u64,
-    /// Times this rank rewound to an earlier checkpoint epoch.
-    pub restores: u64,
     /// Committed checkpoint epochs this rank skipped at restore because
     /// their payload failed its checksum (silent storage corruption): the
     /// blob is treated exactly like a torn write and the world agrees on
@@ -175,11 +149,6 @@ pub struct TraversalStats {
     /// Wall-clock spent serializing and writing checkpoints plus restoring
     /// from them — the numerator of the checkpoint overhead percentage.
     pub checkpoint_time: Duration,
-    /// Semi-external storage integrity (zero for in-memory runs): page
-    /// fills whose bytes mismatched the page's write-back checksum, and
-    /// the device re-reads issued to recover them.
-    pub page_checksum_failures: u64,
-    pub page_reread_retries: u64,
     /// Direction-optimizing engine only (zero on the asynchronous visitor
     /// path): adjacency entries examined while generating candidates —
     /// whole frontier slices top-down, early-exit prefixes bottom-up —
@@ -189,30 +158,15 @@ pub struct TraversalStats {
     pub top_down_levels: u64,
     pub bottom_up_levels: u64,
     pub frontier_words_sent: u64,
-    /// Compressed CSR storage only (all zero otherwise): adjacency slices
-    /// decoded and encoded bytes pulled through the gap decoder during the
-    /// traversal, plus the pool sizes — encoded versus raw `u64` targets —
-    /// so the decode-CPU-vs-IO-stall trade is measured alongside the cache
-    /// counters above.
-    pub adj_decodes: u64,
-    pub adj_decoded_bytes: u64,
-    pub edge_bytes_encoded: u64,
-    pub edge_bytes_raw: u64,
-}
-
-impl TraversalStats {
-    /// Sum of all injected-fault events this rank observed — nonzero iff
-    /// the fault layer perturbed this rank's traversal traffic.
-    pub fn total_faults(&self) -> u64 {
-        self.fault_delayed
-            + self.fault_reordered
-            + self.fault_duplicated
-            + self.fault_deduped
-            + self.fault_stalled
-            + self.fault_throttled
-            + self.fault_corrupted
-            + self.frames_dropped_injected
-    }
+    /// The storage layers' own snapshots of this rank's partition, all
+    /// zero on in-memory CSR. `cache` and the decode counters of `csr`
+    /// (compressed storage only) cover *this traversal*: the difference
+    /// from a baseline taken when the queue was created. The sizes in `csr`
+    /// and all of `io` — gauges, high-water marks and a histogram, which do
+    /// not subtract — are since graph build.
+    pub cache: CacheStatsSnapshot,
+    pub io: IoStatsSnapshot,
+    pub csr: CsrStorageSnapshot,
 }
 
 /// Min-heap adapter: smallest algorithm priority first, then the
@@ -262,6 +216,10 @@ pub struct VisitorQueue<'g, V: Visitor + WireCodec> {
     decode_ctx: V::DecodeCtx,
     /// Reused landing buffer of `check_mailbox`.
     scratch: Vec<V>,
+    /// The storage counters as the queue found them: they count since graph
+    /// build, `stats()` reports the difference.
+    cache_before: CacheStatsSnapshot,
+    csr_before: CsrStorageSnapshot,
 }
 
 /// Who drains the heap between two mailbox polls of the driver
@@ -358,6 +316,8 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
             arrival_seq: 0,
             decode_ctx,
             scratch: Vec::new(),
+            cache_before: g.csr().cache_stats().unwrap_or_default(),
+            csr_before: g.csr().storage_snapshot().unwrap_or_default(),
         }
     }
 
@@ -402,49 +362,12 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         s.frames_sent = mb.frames_sent;
         s.backpressure_stalls = mb.backpressure_stalls;
         s.mean_frame_fill = mb.mean_frame_fill();
-        // Fault counters live in the world-shared transport matrix; report
-        // this rank's share: events observed at our receiver, plus frames
-        // we duplicated as a sender.
-        let tr = self.mailbox.transport_stats();
-        let me = self.rank;
-        let recv_col = |m: &[u64]| (0..tr.ranks).map(|src| m[src * tr.ranks + me]).sum::<u64>();
-        let send_row = |m: &[u64]| (0..tr.ranks).map(|dst| m[me * tr.ranks + dst]).sum::<u64>();
-        s.fault_delayed = recv_col(&tr.fault_delays);
-        s.fault_reordered = recv_col(&tr.fault_reorders);
-        s.fault_duplicated = send_row(&tr.fault_dups);
-        s.fault_deduped = recv_col(&tr.fault_dedups);
-        s.fault_stalled = recv_col(&tr.fault_stalls);
-        s.fault_throttled = recv_col(&tr.fault_throttles);
-        s.fault_corrupted = recv_col(&tr.fault_corrupts);
-        s.frames_dropped_injected = recv_col(&tr.fault_drops);
-        s.corrupt_frames_detected = recv_col(&tr.corrupt_detected);
-        s.nacks_sent = recv_col(&tr.nacks);
-        s.retransmits = send_row(&tr.retransmits);
-        // This rank's storage-layer stalls, queue pressure and decode work
-        // (semi-external storage only; all zeros for in-memory CSR).
+        s.events = self.mailbox.transport_stats().at_rank(self.rank);
         let csr = self.g.csr();
-        if let Some(cs) = csr.cache_stats() {
-            s.io_stall = cs.io_stall();
-            s.evict_stall = cs.evict_stall();
-            s.page_checksum_failures = cs.page_checksum_failures;
-            s.page_reread_retries = cs.page_reread_retries;
-        }
-        if let Some(io) = csr.io_stats() {
-            s.io_avg_queue_depth = io.avg_queue_depth();
-            s.io_queue_peak = io.peak_outstanding;
-        }
-        if let Some(snap) = csr.storage_snapshot() {
-            s.adj_decodes = snap.adj_decodes;
-            s.adj_decoded_bytes = snap.adj_decoded_bytes;
-            s.edge_bytes_encoded = snap.encoded_bytes;
-            s.edge_bytes_raw = snap.raw_bytes;
-        }
+        s.cache = csr.cache_stats().unwrap_or_default().since(&self.cache_before);
+        s.io = csr.io_stats().unwrap_or_default();
+        s.csr = csr.storage_snapshot().unwrap_or_default().since(&self.csr_before);
         s
-    }
-
-    /// Byte-level mailbox counters (frames, fill histogram, pool activity).
-    pub fn mailbox_stats(&self) -> havoq_comm::MailboxStatsSnapshot {
-        self.mailbox.stats()
     }
 
     /// The mailbox's transport traffic matrix (world-shared snapshot).
@@ -687,6 +610,12 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         absorb_shard(&mut self.mailbox, &mut self.ghosts, &mut self.stats, sink);
     }
 
+    /// Count one per-rank event against the traversal's own channel; it
+    /// comes back in `stats().events`.
+    pub(crate) fn bump(&self, ev: Event) {
+        self.mailbox.channel_stats().bump(ev, self.rank, self.rank);
+    }
+
     /// Mutable access to the traversal counters for same-crate engines
     /// layered on the queue (the direction engine's inspection counters).
     pub(crate) fn stats_mut(&mut self) -> &mut TraversalStats {
@@ -786,13 +715,11 @@ where
         let victim = ctx.crash_victim(*epoch, *incarnation);
         if victim == Some(self.rank) {
             store.write_epoch_torn(*epoch, &blob);
-            self.stats.crashes += 1;
-            self.mailbox.channel_stats().record_crash(self.rank);
+            self.bump(Event::Crash);
         } else {
             store.write_epoch(*epoch, &blob);
-            self.stats.checkpoints_written += 1;
             self.stats.checkpoint_bytes += blob.len() as u64;
-            self.mailbox.channel_stats().record_checkpoint(self.rank);
+            self.bump(Event::Checkpoint);
             if spec.corrupt_committed == Some((self.rank, *epoch)) && *incarnation == 0 {
                 let flipped = store.corrupt_committed_payload(*epoch);
                 debug_assert!(flipped, "corruption target epoch was just committed");
@@ -813,8 +740,7 @@ where
             // incarnation must never satisfy a later recovery's
             // `latest_complete_epoch`.
             store.truncate_above(target);
-            self.stats.restores += 1;
-            self.mailbox.channel_stats().record_restore(self.rank);
+            self.bump(Event::Restore);
             *incarnation += 1;
             *epoch = target + 1;
             let (extra_at, queue_at) = match extra {
@@ -1114,9 +1040,9 @@ mod tests {
                 ]
                 .map(sum),
                 payload: [s.payload_sent, s.payload_received].map(sum),
-                checkpoints: sum(s.checkpoints_written),
-                crashes: sum(s.crashes),
-                restores: sum(s.restores),
+                checkpoints: sum(s.events[Event::Checkpoint]),
+                crashes: sum(s.events[Event::Crash]),
+                restores: sum(s.events[Event::Restore]),
                 fallbacks: sum(s.restore_epoch_fallbacks),
             }
         });

@@ -121,8 +121,9 @@ enum Targets {
 
 /// Storage-layer counters for the compressed CSR: how big the encoded pool
 /// is versus raw `u64` targets, and how much decode work traversals did.
-/// Folded into `TraversalStats` next to the page-cache counters so the
-/// decode-CPU-vs-IO-stall trade is measured, not guessed.
+/// Embedded in `TraversalStats` (as `csr`, as a per-traversal delta) next
+/// to the page-cache counters so the decode-CPU-vs-IO-stall trade is
+/// measured, not guessed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CsrStorageSnapshot {
     /// Total edges stored.
@@ -138,6 +139,16 @@ pub struct CsrStorageSnapshot {
 }
 
 impl CsrStorageSnapshot {
+    /// The decode work done since the earlier snapshot `before` of the
+    /// same CSR; the three sizes are not counters and pass through.
+    pub fn since(&self, before: &Self) -> Self {
+        Self {
+            adj_decodes: self.adj_decodes - before.adj_decodes,
+            adj_decoded_bytes: self.adj_decoded_bytes - before.adj_decoded_bytes,
+            ..*self
+        }
+    }
+
     /// Encoded bytes per stored edge (8.0 for the uncompressed layout).
     pub fn bytes_per_edge(&self) -> f64 {
         if self.num_edges == 0 {

@@ -12,7 +12,7 @@
 //! fills it with the lock released; concurrent accesses to the same page
 //! wait on the shard's condvar instead of issuing a second device read.
 //! Dirty eviction victims are registered with the
-//! [`crate::io::WritebackRegistry`] *before* the lock drops (so their
+//! `crate::io::WritebackRegistry` *before* the lock drops (so their
 //! bytes stay visible to faults) and are then written back either inline
 //! ([`IoMode::Sync`]) or by the background engine ([`IoMode::Async`]) —
 //! see [`crate::io`] for the queue, worker pool, and ordering guarantees.
@@ -1012,6 +1012,30 @@ pub struct CacheStatsSnapshot {
 }
 
 impl CacheStatsSnapshot {
+    /// What happened since the earlier snapshot `before` of the same cache
+    /// (every field is an additive counter). Saturating, so a
+    /// `reset_stats` in between reads as "since the reset".
+    pub fn since(&self, before: &Self) -> Self {
+        Self {
+            hits: self.hits.saturating_sub(before.hits),
+            misses: self.misses.saturating_sub(before.misses),
+            evictions: self.evictions.saturating_sub(before.evictions),
+            writebacks: self.writebacks.saturating_sub(before.writebacks),
+            prefetches: self.prefetches.saturating_sub(before.prefetches),
+            fault_waits: self.fault_waits.saturating_sub(before.fault_waits),
+            wb_coalesced: self.wb_coalesced.saturating_sub(before.wb_coalesced),
+            dropped_prefetches: self.dropped_prefetches.saturating_sub(before.dropped_prefetches),
+            io_stall_ns: self.io_stall_ns.saturating_sub(before.io_stall_ns),
+            evict_stall_ns: self.evict_stall_ns.saturating_sub(before.evict_stall_ns),
+            page_checksum_failures: self
+                .page_checksum_failures
+                .saturating_sub(before.page_checksum_failures),
+            page_reread_retries: self
+                .page_reread_retries
+                .saturating_sub(before.page_reread_retries),
+        }
+    }
+
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }

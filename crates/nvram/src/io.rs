@@ -12,7 +12,7 @@
 //!   windows are *issued* by the faulting rank and filled in the
 //!   background, and dirty eviction victims are queued for write-behind
 //!   instead of being written while the victim's shard lock is held;
-//! - a [`WritebackRegistry`] that keeps the bytes of in-flight victims
+//! - a `WritebackRegistry` that keeps the bytes of in-flight victims
 //!   visible to concurrent faults, closing the window where a page has
 //!   left the cache but not yet reached the device.
 //!

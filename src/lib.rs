@@ -49,7 +49,9 @@ pub mod testing;
 
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
-    pub use havoq_comm::{CommWorld, Mailbox, MailboxConfig, Quiescence, RankCtx, TopologyKind};
+    pub use havoq_comm::{
+        CommWorld, Event, EventCounts, Mailbox, MailboxConfig, Quiescence, RankCtx, TopologyKind,
+    };
     pub use havoq_core::algorithms::bfs::{bfs, BfsConfig, BfsResult};
     pub use havoq_core::algorithms::cc::{connected_components, CcConfig, CcResult};
     pub use havoq_core::algorithms::kcore::{

@@ -18,7 +18,7 @@
 //! runs. Parent correctness is checked structurally with `validate_bfs`
 //! instead, which is exactly what the paper's validation visitors are for.
 
-use havoq_comm::{FaultConfig, RankCtx};
+use havoq_comm::{Event, EventCounts, FaultConfig, RankCtx};
 use havoq_core::algorithms::bfs::{bfs, BfsConfig};
 use havoq_core::algorithms::cc::{connected_components, CcConfig};
 use havoq_core::algorithms::kcore::{kcore, KCoreConfig};
@@ -90,103 +90,34 @@ pub struct Fingerprint {
     pub triangles: u64,
 }
 
-/// World totals of every fault counter, summed over a suite's traversals.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultTotals {
-    pub delayed: u64,
-    pub reordered: u64,
-    pub duplicated: u64,
-    pub deduped: u64,
-    pub stalled: u64,
-    pub throttled: u64,
-    /// Injected bit-flips (an injection implies the CRC must catch it).
-    pub corrupted: u64,
-    /// Injected frame losses (repair must resupply every one).
-    pub dropped: u64,
-    /// CRC mismatches caught at receivers.
-    pub detected: u64,
-    pub nacks: u64,
-    pub retransmits: u64,
-}
-
-impl FaultTotals {
-    pub fn accumulate(&mut self, ctx: &RankCtx, s: &TraversalStats) {
-        self.delayed += ctx.all_reduce_sum(s.fault_delayed);
-        self.reordered += ctx.all_reduce_sum(s.fault_reordered);
-        self.duplicated += ctx.all_reduce_sum(s.fault_duplicated);
-        self.deduped += ctx.all_reduce_sum(s.fault_deduped);
-        self.stalled += ctx.all_reduce_sum(s.fault_stalled);
-        self.throttled += ctx.all_reduce_sum(s.fault_throttled);
-        self.corrupted += ctx.all_reduce_sum(s.fault_corrupted);
-        self.dropped += ctx.all_reduce_sum(s.frames_dropped_injected);
-        self.detected += ctx.all_reduce_sum(s.corrupt_frames_detected);
-        self.nacks += ctx.all_reduce_sum(s.nacks_sent);
-        self.retransmits += ctx.all_reduce_sum(s.retransmits);
-    }
-
-    pub fn merge(&mut self, o: FaultTotals) {
-        self.delayed += o.delayed;
-        self.reordered += o.reordered;
-        self.duplicated += o.duplicated;
-        self.deduped += o.deduped;
-        self.stalled += o.stalled;
-        self.throttled += o.throttled;
-        self.corrupted += o.corrupted;
-        self.dropped += o.dropped;
-        self.detected += o.detected;
-        self.nacks += o.nacks;
-        self.retransmits += o.retransmits;
-    }
-
-    /// Sum of every counter — zero iff the run observed no fault events at
-    /// all (the fault-free baseline must satisfy this).
-    pub fn total_events(&self) -> u64 {
-        self.delayed
-            + self.reordered
-            + self.duplicated
-            + self.deduped
-            + self.stalled
-            + self.throttled
-            + self.corrupted
-            + self.dropped
-            + self.detected
-            + self.nacks
-            + self.retransmits
-    }
-}
-
-/// World totals of the restart machinery's counters, plus per-rank crash
-/// counts so sweeps can prove every rank was a victim somewhere.
+/// World totals over a suite's traversals: the whole event table
+/// ([`Event::ALL`] — injected faults, integrity repair,
+/// checkpoint/crash/restore) plus what the restart machinery reports
+/// beside it.
 #[derive(Clone, Debug, Default)]
-pub struct RestartTotals {
-    pub checkpoints: u64,
-    pub crashes: u64,
-    pub restores: u64,
+pub struct FaultTotals {
+    pub events: EventCounts,
     /// Committed epochs skipped at restore because their checksum failed.
     pub fallbacks: u64,
+    /// Per-rank crash counts, so sweeps can prove every rank was a victim
+    /// somewhere.
     pub crashes_by_rank: Vec<u64>,
 }
 
-impl RestartTotals {
+impl FaultTotals {
+    /// One vector all-reduce for every event counter, one gather for the
+    /// two per-rank values.
     pub fn accumulate(&mut self, ctx: &RankCtx, s: &TraversalStats) {
-        self.checkpoints += ctx.all_reduce_sum(s.checkpoints_written);
-        self.crashes += ctx.all_reduce_sum(s.crashes);
-        self.restores += ctx.all_reduce_sum(s.restores);
-        self.fallbacks += ctx.all_reduce_sum(s.restore_epoch_fallbacks);
-        let per_rank = ctx.all_gather(s.crashes);
-        if self.crashes_by_rank.is_empty() {
-            self.crashes_by_rank = per_rank;
-        } else {
-            for (t, c) in self.crashes_by_rank.iter_mut().zip(per_rank) {
-                *t += c;
-            }
-        }
+        let per_rank = ctx.all_gather((s.events[Event::Crash], s.restore_epoch_fallbacks));
+        self.merge(&FaultTotals {
+            events: ctx.all_reduce_events(s.events),
+            fallbacks: per_rank.iter().map(|r| r.1).sum(),
+            crashes_by_rank: per_rank.iter().map(|r| r.0).collect(),
+        });
     }
 
-    pub fn merge(&mut self, o: &RestartTotals) {
-        self.checkpoints += o.checkpoints;
-        self.crashes += o.crashes;
-        self.restores += o.restores;
+    pub fn merge(&mut self, o: &FaultTotals) {
+        self.events += o.events;
         self.fallbacks += o.fallbacks;
         if self.crashes_by_rank.is_empty() {
             self.crashes_by_rank = o.crashes_by_rank.clone();
@@ -195,6 +126,15 @@ impl RestartTotals {
                 *t += c;
             }
         }
+    }
+
+    /// Injected faults plus the integrity layer's reactions to them — zero
+    /// iff the run observed no fault events at all (the fault-free baseline
+    /// must satisfy this; backpressure stalls and checkpoints are not
+    /// fault events).
+    pub fn total_events(&self) -> u64 {
+        let e = &self.events;
+        e.injected_faults() + e[Event::CorruptDetected] + e[Event::Nack] + e[Event::Retransmit]
     }
 }
 
@@ -227,14 +167,13 @@ impl SuiteOptions {
     }
 }
 
-/// Everything one suite run yields: the canonical fingerprint plus both
-/// counter families (zeros where the adversary or the checkpoint layer was
+/// Everything one suite run yields: the canonical fingerprint and the
+/// world totals (zeros where the adversary or the checkpoint layer was
 /// off).
 #[derive(Clone, Debug)]
 pub struct SuiteOutcome {
     pub fingerprint: Fingerprint,
     pub faults: FaultTotals,
-    pub restart: RestartTotals,
 }
 
 /// Run the full algorithm suite (BFS + CC + k-core + SSSP + triangle) on
@@ -256,12 +195,10 @@ pub fn run_suite(
     let storage = opts.storage.unwrap_or_default().with_num_vertices(n);
     let mut out = havoq_comm::CommWorld::run_with_faults(p, faults, |ctx| {
         let g = DistGraph::build_replicated(ctx, edges, PartitionStrategy::EdgeList, storage);
-        let mut fault_totals = FaultTotals::default();
-        let mut restart_totals = RestartTotals::default();
+        let mut faults = FaultTotals::default();
         let mut track = |ctx: &RankCtx, what: &str, s: &TraversalStats| {
             assert_conserved(ctx, what, s);
-            fault_totals.accumulate(ctx, s);
-            restart_totals.accumulate(ctx, s);
+            faults.accumulate(ctx, s);
         };
 
         let b = bfs(ctx, &g, VertexId(0), &BfsConfig { traversal, checkpoint: spec });
@@ -304,7 +241,7 @@ pub fn run_suite(
             sssp_distances: gather_state(ctx, &g, |li| s.local_state[li].distance),
             triangles: t.triangles,
         };
-        SuiteOutcome { fingerprint, faults: fault_totals, restart: restart_totals }
+        SuiteOutcome { fingerprint, faults }
     });
     // all ranks computed the same world-gathered fingerprint; the totals
     // are world sums (all_reduce), identical on every rank
@@ -312,17 +249,12 @@ pub fn run_suite(
     for o in &out {
         assert_eq!(o.fingerprint, first.fingerprint, "ranks disagree on the gathered fingerprint");
     }
+    let (crashes, restores) =
+        (first.faults.events[Event::Crash], first.faults.events[Event::Restore]);
     if opts.threads <= 1 {
-        assert_eq!(
-            first.restart.restores,
-            first.restart.crashes * p as u64,
-            "restores must be one per rank per crash event"
-        );
+        assert_eq!(restores, crashes * p as u64, "restores must be one per rank per crash event");
     } else {
-        assert!(
-            first.restart.restores >= first.restart.crashes,
-            "every crash must trigger a world-wide restore"
-        );
+        assert!(restores >= crashes, "every crash must trigger a world-wide restore");
     }
     first
 }

@@ -108,8 +108,8 @@ fn batched_run<const K: usize>(
                 )
             })
             .collect::<Vec<_>>();
-        let crashes = ctx.all_reduce_sum(res.stats.crashes);
-        let restores = ctx.all_reduce_sum(res.stats.restores);
+        let crashes = ctx.all_reduce_sum(res.stats.events[Event::Crash]);
+        let restores = ctx.all_reduce_sum(res.stats.events[Event::Restore]);
         (fps, crashes, restores)
     })
     .remove(0)

@@ -66,8 +66,8 @@ fn run_direction(
         assert!(report.is_valid(), "direction bfs parents/levels invalid: {report:?}");
         assert_conserved(ctx, "direction bfs", &run.result.stats);
         let restart = RunRestart {
-            crashes: ctx.all_reduce_sum(run.result.stats.crashes),
-            restores: ctx.all_reduce_sum(run.result.stats.restores),
+            crashes: ctx.all_reduce_sum(run.result.stats.events[Event::Crash]),
+            restores: ctx.all_reduce_sum(run.result.stats.events[Event::Restore]),
         };
         let dir_run = DirRun {
             levels: gather_state(ctx, &g, |li| run.result.local_state[li].length),

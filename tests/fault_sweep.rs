@@ -26,7 +26,7 @@
 //! `run_suite(4, &edges, n, Some(FaultConfig::chaos(SEED)), SuiteOptions::default())`.
 
 use havoq::testing::{heavy_sweep_edges, run_suite, sweep_edges, FaultTotals, SuiteOptions};
-use havoq_comm::{CommWorld, FaultConfig};
+use havoq_comm::{CommWorld, Event, FaultConfig};
 use havoq_util::testing::{sweep_seed_set, sweep_seeds};
 
 /// The acceptance sweep: 32 seeded chaos plans, every algorithm, results
@@ -50,20 +50,20 @@ fn fault_sweep_32_seeds_matches_baseline() {
             out.fingerprint, baseline.fingerprint,
             "seed {seed:#x} perturbed a converged result"
         );
-        totals.lock().unwrap().merge(out.faults);
+        totals.lock().unwrap().merge(&out.faults);
     });
 
-    let t = totals.into_inner().unwrap();
-    assert!(t.delayed > 0, "sweep never exercised delay: {t:?}");
-    assert!(t.reordered > 0, "sweep never exercised reorder: {t:?}");
-    assert!(t.duplicated > 0, "sweep never exercised duplication: {t:?}");
-    assert!(t.deduped > 0, "sweep never dropped a duplicate: {t:?}");
-    assert!(t.stalled > 0, "sweep never exercised a receive stall: {t:?}");
-    assert!(t.throttled > 0, "sweep never exercised a slow rank: {t:?}");
+    let t = totals.into_inner().unwrap().events;
+    assert!(t[Event::FaultDelay] > 0, "sweep never exercised delay: {t:?}");
+    assert!(t[Event::FaultReorder] > 0, "sweep never exercised reorder: {t:?}");
+    assert!(t[Event::FaultDup] > 0, "sweep never exercised duplication: {t:?}");
+    assert!(t[Event::FaultDedup] > 0, "sweep never dropped a duplicate: {t:?}");
+    assert!(t[Event::FaultStall] > 0, "sweep never exercised a receive stall: {t:?}");
+    assert!(t[Event::FaultThrottle] > 0, "sweep never exercised a slow rank: {t:?}");
     // Every dedup drop corresponds to a duplicated frame; the counts need
     // not be equal because a duplicate copy still in flight when quiescence
     // (correctly) fires is simply discarded with the world.
-    assert!(t.deduped <= t.duplicated, "more drops than duplicates: {t:?}");
+    assert!(t[Event::FaultDedup] <= t[Event::FaultDup], "more drops than duplicates: {t:?}");
 }
 
 /// The end-to-end integrity sweep: seeded frame corruption and loss
@@ -94,23 +94,24 @@ fn corruption_drop_sweep_matches_baseline() {
                 "seed {seed:#x} perturbed a converged result at p={p}"
             );
             assert_eq!(
-                out.faults.corrupted, out.faults.detected,
+                out.faults.events[Event::FaultCorrupt],
+                out.faults.events[Event::CorruptDetected],
                 "seed {seed:#x} at p={p}: an injected flip escaped the frame CRC"
             );
-            totals.lock().unwrap().merge(out.faults);
+            totals.lock().unwrap().merge(&out.faults);
         });
-        let t = totals.into_inner().unwrap();
+        let t = totals.into_inner().unwrap().events;
         if p == 1 {
             assert_eq!(
-                t.corrupted + t.dropped,
+                t[Event::FaultCorrupt] + t[Event::FaultDrop],
                 0,
                 "loopback-only world must see no wire faults: {t:?}"
             );
         } else {
-            assert!(t.corrupted > 0, "sweep never corrupted a frame: {t:?}");
-            assert!(t.dropped > 0, "sweep never dropped a frame: {t:?}");
-            assert!(t.nacks > 0, "repair never NACKed: {t:?}");
-            assert!(t.retransmits > 0, "repair never retransmitted: {t:?}");
+            assert!(t[Event::FaultCorrupt] > 0, "sweep never corrupted a frame: {t:?}");
+            assert!(t[Event::FaultDrop] > 0, "sweep never dropped a frame: {t:?}");
+            assert!(t[Event::Nack] > 0, "repair never NACKed: {t:?}");
+            assert!(t[Event::Retransmit] > 0, "repair never retransmitted: {t:?}");
         }
     }
 }
@@ -168,8 +169,8 @@ fn fault_counters_are_reproducible_per_seed() {
         snaps.into_iter().next().unwrap()
     };
     let (a, b) = (run(), run());
-    assert_eq!(a.total_fault_delays(), b.total_fault_delays(), "delay decisions drifted");
-    assert!(a.total_fault_delays() > 0, "plan with 300 permille delay never delayed");
+    assert_eq!(a.count(Event::FaultDelay), b.count(Event::FaultDelay), "delay decisions drifted");
+    assert!(a.count(Event::FaultDelay) > 0, "plan with 300 permille delay never delayed");
 }
 
 /// The heavyweight sweep for the CI chaos job (`--include-ignored`,
@@ -206,12 +207,16 @@ fn corruption_sweep_heavy_seven_ranks() {
             "seed {seed:#x} perturbed a converged result at p={p}"
         );
         assert_eq!(
-            out.faults.corrupted, out.faults.detected,
+            out.faults.events[Event::FaultCorrupt],
+            out.faults.events[Event::CorruptDetected],
             "seed {seed:#x} at p={p}: an injected flip escaped the frame CRC"
         );
-        totals.lock().unwrap().merge(out.faults);
+        totals.lock().unwrap().merge(&out.faults);
     });
-    let t = totals.into_inner().unwrap();
-    assert!(t.corrupted > 0 && t.dropped > 0, "heavy sweep never exercised loss: {t:?}");
-    assert!(t.nacks > 0 && t.retransmits > 0, "heavy sweep never repaired: {t:?}");
+    let t = totals.into_inner().unwrap().events;
+    assert!(
+        t[Event::FaultCorrupt] > 0 && t[Event::FaultDrop] > 0,
+        "heavy sweep never exercised loss: {t:?}"
+    );
+    assert!(t[Event::Nack] > 0 && t[Event::Retransmit] > 0, "heavy sweep never repaired: {t:?}");
 }

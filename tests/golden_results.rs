@@ -162,8 +162,8 @@ fn run_ck_suite(
         let mut restores = 0u64;
         let mut crashes = 0u64;
         let mut track = |s: &havoq_core::TraversalStats| {
-            restores += s.restores;
-            crashes += s.crashes;
+            restores += s.events[Event::Restore];
+            crashes += s.events[Event::Crash];
         };
 
         let bcfg = BfsConfig { checkpoint: spec, ..Default::default() };

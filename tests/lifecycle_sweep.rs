@@ -273,6 +273,7 @@ fn hard_stall_aborts_on_all_ranks_without_hanging() {
             assert_eq!(runs.len(), 2, "both ranks returned");
             for r in &runs {
                 assert!(r.aborted, "victim={victim} threads={threads}: watchdog never fired");
+                assert_eq!(r.stats.events[Event::Abort], 1, "victim={victim} threads={threads}");
             }
             assert_eq!(
                 runs[0].queries, runs[1].queries,

@@ -100,7 +100,7 @@ fn parallel_resume_equivalence_after_rank_crashes() {
     let n = gen.num_vertices();
     let golden = run_suite(2, &edges, n, None, SuiteOptions::default());
     assert_eq!(
-        (golden.restart.crashes, golden.restart.restores),
+        (golden.faults.events[Event::Crash], golden.faults.events[Event::Restore]),
         (0, 0),
         "fault-free golden must not crash"
     );
@@ -120,8 +120,8 @@ fn parallel_resume_equivalence_after_rank_crashes() {
                 got.fingerprint, golden.fingerprint,
                 "victim={victim} epoch={epoch}: resumed threads=4 run diverged"
             );
-            total_crashes += got.restart.crashes;
-            total_restores += got.restart.restores;
+            total_crashes += got.faults.events[Event::Crash];
+            total_restores += got.faults.events[Event::Restore];
         }
     }
     assert!(total_crashes > 0, "crash sweep never tore an epoch");

@@ -206,8 +206,8 @@ fn checkpointed_bfs_survives_random_crash_schedules() {
             let sent = ctx.all_reduce_sum(r.stats.payload_sent);
             let recv = ctx.all_reduce_sum(r.stats.payload_received);
             assert_eq!(sent, recv, "quiescence fired with frames in flight");
-            let crashes = ctx.all_reduce_sum(r.stats.crashes);
-            let restores = ctx.all_reduce_sum(r.stats.restores);
+            let crashes = ctx.all_reduce_sum(r.stats.events[Event::Crash]);
+            let restores = ctx.all_reduce_sum(r.stats.events[Event::Restore]);
             assert_eq!(
                 restores,
                 crashes * p as u64,
@@ -309,8 +309,8 @@ fn batched_bfs_matches_serial_reference_on_random_query_sets() {
             res.ledger
                 .check(sources.len())
                 .unwrap_or_else(|e| panic!("ledger invariant broke: {e}"));
-            let crashes = ctx.all_reduce_sum(res.stats.crashes);
-            let restores = ctx.all_reduce_sum(res.stats.restores);
+            let crashes = ctx.all_reduce_sum(res.stats.events[Event::Crash]);
+            let restores = ctx.all_reduce_sum(res.stats.events[Event::Restore]);
             assert_eq!(
                 restores,
                 crashes * p as u64,

@@ -21,7 +21,7 @@
 
 use havoq::prelude::*;
 use havoq::testing::{
-    assert_conserved, gather_state, heavy_sweep_edges, run_suite, sweep_edges, RestartTotals,
+    assert_conserved, gather_state, heavy_sweep_edges, run_suite, sweep_edges, FaultTotals,
     SuiteOptions,
 };
 use havoq_comm::FaultConfig;
@@ -37,10 +37,11 @@ fn restart_sweep_32_seeds_matches_baseline() {
     let (edges, n) = sweep_edges();
     let p = 4;
     let baseline = run_suite(p, &edges, n, None, SuiteOptions::default());
-    assert_eq!(baseline.restart.crashes, 0, "uncheckpointed baseline cannot crash");
-    assert_eq!(baseline.restart.checkpoints, 0, "uncheckpointed baseline cannot checkpoint");
+    let base = baseline.faults.events;
+    assert_eq!(base[Event::Crash], 0, "uncheckpointed baseline cannot crash");
+    assert_eq!(base[Event::Checkpoint], 0, "uncheckpointed baseline cannot checkpoint");
 
-    let totals = std::sync::Mutex::new(RestartTotals::default());
+    let totals = std::sync::Mutex::new(FaultTotals::default());
     sweep_seeds(sweep_seed_set(32), |seed| {
         let faults = FaultConfig::chaos(seed).with_crash(150);
         let out = run_suite(
@@ -54,12 +55,12 @@ fn restart_sweep_32_seeds_matches_baseline() {
             out.fingerprint, baseline.fingerprint,
             "seed {seed:#x} perturbed a converged result"
         );
-        totals.lock().unwrap().merge(&out.restart);
+        totals.lock().unwrap().merge(&out.faults);
     });
 
     let t = totals.into_inner().unwrap();
-    assert!(t.checkpoints > 0, "sweep never wrote a checkpoint: {t:?}");
-    assert!(t.crashes > 0, "sweep never exercised a crash: {t:?}");
+    assert!(t.events[Event::Checkpoint] > 0, "sweep never wrote a checkpoint: {t:?}");
+    assert!(t.events[Event::Crash] > 0, "sweep never exercised a crash: {t:?}");
     // crash debris is *torn*, and torn epochs are expected — they must
     // never be misclassified as checksum fallbacks
     assert_eq!(t.fallbacks, 0, "a torn epoch was counted as a checksum fallback: {t:?}");
@@ -100,8 +101,8 @@ fn corrupted_committed_epoch_falls_back_and_recovers() {
                 b.max_level,
                 gather_state(ctx, &g, |li| b.local_state[li].length),
             );
-            let crashes = ctx.all_reduce_sum(b.stats.crashes);
-            let restores = ctx.all_reduce_sum(b.stats.restores);
+            let crashes = ctx.all_reduce_sum(b.stats.events[Event::Crash]);
+            let restores = ctx.all_reduce_sum(b.stats.events[Event::Restore]);
             let fallbacks = ctx.all_reduce_sum(b.stats.restore_epoch_fallbacks);
             (fp, crashes, restores, fallbacks)
         });
@@ -143,7 +144,7 @@ fn restart_every_rank_every_early_epoch() {
                 out.fingerprint, baseline.fingerprint,
                 "victim {victim} at epoch {epoch} perturbed the result"
             );
-            crashed_runs += u64::from(out.restart.crashes > 0);
+            crashed_runs += u64::from(out.faults.events[Event::Crash] > 0);
         }
     }
     // every grid point must actually have reached its crash epoch
@@ -171,6 +172,6 @@ fn restart_sweep_heavy_seven_ranks() {
             out.fingerprint, baseline.fingerprint,
             "seed {seed:#x} perturbed a converged result at p={p}"
         );
-        assert!(out.restart.checkpoints > 0, "seed {seed:#x} never checkpointed");
+        assert!(out.faults.events[Event::Checkpoint] > 0, "seed {seed:#x} never checkpointed");
     });
 }

@@ -214,7 +214,7 @@ fn batched_bfs_equivalent_across_storages() {
     }
 }
 
-/// The storage-layer counters are folded in by `VisitorQueue::stats()`, so
+/// The storage-layer snapshots are embedded by `VisitorQueue::stats()`, so
 /// every engine on the queue reports them, not only `bfs`: a batched run
 /// over compressed storage must show the gap decoder's work on every rank.
 #[test]
@@ -231,9 +231,34 @@ fn batched_bfs_reports_storage_counters_on_compressed() {
         bfs_batch::<8>(ctx, &g, &sources, &BatchConfig::default()).stats
     });
     for (rank, s) in stats.iter().enumerate() {
-        assert!(s.adj_decodes > 0, "rank {rank}: bfs_batch reported no adjacency decodes");
-        assert!(s.adj_decoded_bytes > 0 && s.edge_bytes_encoded > 0, "rank {rank}");
+        assert!(s.csr.adj_decodes > 0, "rank {rank}: bfs_batch reported no adjacency decodes");
+        assert!(s.csr.adj_decoded_bytes > 0 && s.csr.encoded_bytes > 0, "rank {rank}");
     }
+}
+
+/// Storage counters are per traversal, not since graph build: two BFS runs
+/// from the same key on one compressed graph (one rank, one thread, so the
+/// visitor schedule is fixed) do the same decode work and report the same
+/// numbers — the second must not carry the first's on top of its own.
+#[test]
+fn second_traversal_does_not_report_the_first_ones_decodes() {
+    let (edges, n) = sweep_edges();
+    let (first, second) = CommWorld::run(1, |ctx| {
+        let g = DistGraph::build_replicated(
+            ctx,
+            &edges,
+            PartitionStrategy::EdgeList,
+            compressed_config().with_num_vertices(n),
+        );
+        let run = || bfs(ctx, &g, VertexId(0), &BfsConfig::default()).stats;
+        (run(), run())
+    })
+    .remove(0);
+    assert!(first.csr.adj_decodes > 0, "bfs on compressed storage decoded nothing");
+    assert_eq!(second.csr.adj_decodes, first.csr.adj_decodes);
+    assert_eq!(second.csr.adj_decoded_bytes, first.csr.adj_decoded_bytes);
+    assert_eq!(second.cache.accesses(), first.cache.accesses());
+    assert_eq!(second.csr.encoded_bytes, first.csr.encoded_bytes, "sizes pass through");
 }
 
 /// The acceptance chaos sweep on compressed storage: 16 seeded chaos plans
@@ -268,8 +293,8 @@ fn compressed_lossy_sweep_16_seeds() {
         let opts = SuiteOptions::default().with_threads(1).with_storage(compressed_config());
         let out = run_suite(p, &edges, n, Some(FaultConfig::lossy(seed)), opts);
         assert_eq!(out.fingerprint, golden, "seed {seed:#x}: lossy on compressed storage diverged");
-        corrupted.set(corrupted.get() + out.faults.corrupted);
-        detected.set(detected.get() + out.faults.detected);
+        corrupted.set(corrupted.get() + out.faults.events[Event::FaultCorrupt]);
+        detected.set(detected.get() + out.faults.events[Event::CorruptDetected]);
     });
     assert!(corrupted.get() > 0, "lossy sweep never injected a corruption");
     assert_eq!(detected.get(), corrupted.get(), "every injected corruption must be CRC-detected");
@@ -296,8 +321,8 @@ fn compressed_crash_restore_grid() {
                 out.fingerprint, golden,
                 "victim={victim} epoch={epoch}: restored run on compressed storage diverged"
             );
-            crashes += out.restart.crashes;
-            restores += out.restart.restores;
+            crashes += out.faults.events[Event::Crash];
+            restores += out.faults.events[Event::Restore];
         }
     }
     assert!(crashes > 0, "crash grid never tore an epoch");
