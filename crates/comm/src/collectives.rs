@@ -96,6 +96,15 @@ impl RankCtx {
         self.all_reduce(v, |a, b| a.wrapping_add(b))
     }
 
+    /// Element-wise sum of equal-length vectors: many counters, one
+    /// collective.
+    pub fn all_reduce_sum_vec(&self, v: Vec<u64>) -> Vec<u64> {
+        self.all_reduce(v, |mut a, b| {
+            a.iter_mut().zip(b).for_each(|(x, y)| *x = x.wrapping_add(y));
+            a
+        })
+    }
+
     /// World totals of a per-rank event view: all counters in one vector
     /// all-reduce.
     pub fn all_reduce_events(&self, v: EventCounts) -> EventCounts {
@@ -233,7 +242,16 @@ mod tests {
     fn all_reduce_sum_works_for_awkward_sizes() {
         for p in [1usize, 2, 3, 5, 7, 12, 16] {
             let expect: u64 = (0..p as u64).sum();
-            let got = CommWorld::run(p, |ctx| ctx.all_reduce_sum(ctx.rank() as u64));
+            let got = CommWorld::run(p, |ctx| {
+                let me = ctx.rank() as u64;
+                let sum = ctx.all_reduce_sum(me);
+                // the vector form agrees element-wise, wraps, and takes
+                // the empty vector
+                let vec = ctx.all_reduce_sum_vec(vec![me, 2 * me, u64::MAX]);
+                assert_eq!(vec, [sum, 2 * sum, (p as u64).wrapping_neg()], "p={p}");
+                assert!(ctx.all_reduce_sum_vec(Vec::new()).is_empty(), "p={p}");
+                sum
+            });
             assert!(got.iter().all(|&g| g == expect), "p={p}: {got:?}");
         }
     }

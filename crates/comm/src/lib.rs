@@ -17,6 +17,9 @@
 //!   topologies (Section III-B, Figure 4).
 //! - [`Quiescence`] is the asynchronous termination detector used by
 //!   `global_empty()` (Section V, citing Mattern's counting algorithms).
+//!   It is polled from one place, the visitor queue's driver; a plane that
+//!   must settle with a traversal (cancels, frontier words) is a second
+//!   [`Mailbox`] counted into that same poll, not a detector of its own.
 //!
 //! Because ranks are threads, all communication-volume metrics — messages per
 //! channel pair, aggregation factors, routing hop counts — are structurally
@@ -28,7 +31,6 @@ pub mod codec;
 pub mod collectives;
 pub mod control;
 pub mod fault;
-pub mod frontier;
 pub mod mailbox;
 pub mod registry;
 pub mod runtime;
@@ -40,7 +42,6 @@ pub mod transport;
 pub use codec::{Frame, FramePool, WireCodec, FRAME_HEADER_BYTES, RECORD_DST_BYTES};
 pub use control::CancelRecord;
 pub use fault::{FaultConfig, FaultPlan};
-pub use frontier::{FrontierPlane, FrontierRecord};
 pub use mailbox::{
     Mailbox, MailboxConfig, MailboxStatsSnapshot, SendShard, DEFAULT_CHANNEL_CAPACITY,
 };

@@ -466,26 +466,7 @@ pub fn bfs_batch<const K: usize>(
     sources: &[VertexId],
     cfg: &BatchConfig,
 ) -> BatchBfsResult {
-    assert!(K <= MAX_BATCH, "batch width {K} exceeds MAX_BATCH {MAX_BATCH}");
-    assert!(sources.len() <= K, "{} sources exceed batch width {K}", sources.len());
-    let ledger = Arc::new(LedgerCells::default());
-    let mut q = VisitorQueue::<BatchBfsVisitor<K>>::new_with_ctx(
-        ctx,
-        g,
-        cfg.traversal,
-        Arc::clone(&ledger),
-    );
-    for (qi, &s) in sources.iter().enumerate() {
-        if g.is_master(s) {
-            q.push(BatchBfsVisitor {
-                vertex: s,
-                length: 0,
-                parent: s.0,
-                mask: 1u64 << qi,
-                ledger: Arc::clone(&ledger),
-            });
-        }
-    }
+    let (mut q, ledger) = seeded_queue::<K>(ctx, g, sources, cfg.traversal);
     q.traverse(ctx, cfg.checkpoint.as_ref());
 
     let ledger = ledger.snapshot();
@@ -496,6 +477,28 @@ pub fn bfs_batch<const K: usize>(
     let local_state =
         (0..sources.len()).map(|qi| state.iter().map(|d| d.query(qi)).collect()).collect();
     BatchBfsResult { per_query, local_state, elapsed: stats.elapsed, stats, ledger }
+}
+
+/// A batched-BFS queue over a fresh ledger with query `qi`'s depth-0
+/// visitor pushed at `sources[qi]`'s master — where [`bfs_batch`] and the
+/// lifecycle engine both start. Collective.
+pub(crate) fn seeded_queue<'g, const K: usize>(
+    ctx: &RankCtx,
+    g: &'g DistGraph,
+    sources: &[VertexId],
+    traversal: TraversalConfig,
+) -> (VisitorQueue<'g, BatchBfsVisitor<K>>, Arc<LedgerCells>) {
+    assert!(K <= MAX_BATCH, "batch width {K} exceeds MAX_BATCH {MAX_BATCH}");
+    assert!(sources.len() <= K, "{} sources exceed batch width {K}", sources.len());
+    let ledger = Arc::new(LedgerCells::default());
+    let mut q = VisitorQueue::new_with_ctx(ctx, g, traversal, Arc::clone(&ledger));
+    for (qi, &s) in sources.iter().enumerate() {
+        if g.is_master(s) {
+            let ledger = Arc::clone(&ledger);
+            q.push(BatchBfsVisitor { vertex: s, length: 0, parent: s.0, mask: 1 << qi, ledger });
+        }
+    }
+    (q, ledger)
 }
 
 /// Per-query results of a batched BFS that every rank agrees on.
@@ -546,14 +549,11 @@ pub(crate) fn reduce_per_query<const K: usize, const DIGEST: bool>(
     }
     sums[3 * width..4 * width].copy_from_slice(&ledger.executed[..width]);
     sums[4 * width..].copy_from_slice(&ledger.pushed[..width]);
-    let zip_with = |f: fn(u64, u64) -> u64| {
-        move |mut a: Vec<u64>, b: Vec<u64>| {
-            a.iter_mut().zip(b).for_each(|(x, y)| *x = f(*x, y));
-            a
-        }
-    };
-    let sums = ctx.all_reduce(sums, zip_with(u64::wrapping_add));
-    let deepest = ctx.all_reduce(deepest, zip_with(u64::max));
+    let sums = ctx.all_reduce_sum_vec(sums);
+    let deepest = ctx.all_reduce(deepest, |mut a, b| {
+        a.iter_mut().zip(b).for_each(|(x, y)| *x = (*x).max(y));
+        a
+    });
     let column = |c: usize| sums[c * width..(c + 1) * width].to_vec();
     let aggregates = (0..width)
         .map(|qi| QueryAggregates {
@@ -706,7 +706,7 @@ pub fn reach_batch(
             }
         }
     }
-    let reached_counts = counts.into_iter().map(|c| ctx.all_reduce_sum(c)).collect();
+    let reached_counts = ctx.all_reduce_sum_vec(counts);
     let stats = q.stats();
     let local_masks = q.into_state().iter().map(|d| d.reached).collect();
     BatchReachResult { reached_counts, local_masks, elapsed: stats.elapsed, stats }
@@ -795,17 +795,6 @@ impl QueryBatch {
             9..=16 => bfs_batch::<16>(ctx, g, &sources, cfg),
             _ => bfs_batch::<64>(ctx, g, &sources, cfg),
         }
-    }
-
-    /// Run the admitted queries as one batched reachability and drain.
-    pub fn run_reach(
-        &mut self,
-        ctx: &RankCtx,
-        g: &DistGraph,
-        cfg: &BatchConfig,
-    ) -> BatchReachResult {
-        let sources = std::mem::take(&mut self.sources);
-        reach_batch(ctx, g, &sources, cfg)
     }
 }
 

@@ -180,7 +180,8 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_record<T: WireCodec>(buf: &mut Vec<u8>, rec: &T) {
+/// Append one fixed-size record to a blob.
+pub(crate) fn put_record<T: WireCodec>(buf: &mut Vec<u8>, rec: &T) {
     let at = buf.len();
     buf.resize(at + T::WIRE_SIZE, 0);
     rec.encode(&mut buf[at..]);

@@ -23,11 +23,15 @@
 //!   quiescence cut and parks the surviving visitors, which are exactly
 //!   the next frontier (master and replica copies both);
 //! - before a bottom-up level the master frontier bits cross the wire as
-//!   sparse words on a [`FrontierPlane`], OR-ed into a global bitmap on
-//!   every rank;
-//! - the switch heuristic runs on per-level `all_reduce_sum` collectives
-//!   of frontier size and frontier/unvisited edge counts, so every rank
-//!   takes the same direction deterministically.
+//!   sparse `(word_index, bits)` records on a side mailbox settled by the
+//!   same driver under the queue's own cut (`queue::Side`), OR-ed into a
+//!   global bitmap on every rank;
+//! - the switch heuristic runs on one vector collective per level —
+//!   frontier size and frontier/unvisited edge counts — so every rank
+//!   takes the same direction deterministically; it is also the fence
+//!   between two levels' rounds. Nothing blocks between a rank's sends and
+//!   its next mailbox poll: the trace's inspection and candidate counts
+//!   stay rank-local and are summed once, after the last level.
 //!
 //! **Determinism.** Levels are direction-invariant (a vertex's BFS level
 //! is a graph property). Parents are made direction-invariant by breaking
@@ -44,13 +48,14 @@
 
 use std::time::Instant;
 
-use havoq_comm::{FrontierPlane, RankCtx, WireCodec};
+use havoq_comm::{CutVerdict, MailboxConfig, RankCtx, WireCodec};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
 use havoq_util::parallel::{AtomicBitVec, PerWorker, WorkerPool};
 
 use crate::algorithms::bfs::{BfsConfig, BfsData, BfsResult, UNREACHED};
-use crate::queue::{ShardPusher, VisitorQueue};
+use crate::checkpoint::put_record;
+use crate::queue::{ShardPusher, Side, VisitorQueue};
 use crate::visitor::{Role, Visitor, VisitorPush};
 
 /// Which engine (and direction policy) a BFS traversal uses.
@@ -81,24 +86,19 @@ impl DirectionMode {
     }
 }
 
+/// Top-down → bottom-up threshold (Beamer's α).
+const ALPHA: u64 = 14;
+/// Bottom-up → top-down threshold (Beamer's β).
+const BETA: u64 = 24;
+
 /// Direction-optimization knobs on [`crate::queue::TraversalConfig`].
 ///
 /// The classic Beamer heuristic: switch top-down → bottom-up when the
-/// frontier's edge count exceeds `unvisited_edges / alpha`, and back
-/// top-down when the frontier shrinks below `num_vertices / beta`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// frontier's edge count exceeds `unvisited_edges / ALPHA`, and back
+/// top-down when the frontier shrinks below `num_vertices / BETA`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DirectionConfig {
     pub mode: DirectionMode,
-    /// Top-down → bottom-up threshold (Beamer's α, default 14).
-    pub alpha: u64,
-    /// Bottom-up → top-down threshold (Beamer's β, default 24).
-    pub beta: u64,
-}
-
-impl Default for DirectionConfig {
-    fn default() -> Self {
-        Self { mode: DirectionMode::Async, alpha: 14, beta: 24 }
-    }
 }
 
 /// Expansion direction of one level. The discriminants are the codes a
@@ -110,6 +110,13 @@ pub enum Direction {
 }
 
 impl Direction {
+    fn from_code(code: u64) -> Self {
+        match code {
+            0 => Direction::Top,
+            _ => Direction::Bottom,
+        }
+    }
+
     /// Trace-column label (`top` / `bottom`).
     pub fn label(self) -> &'static str {
         match self {
@@ -119,8 +126,8 @@ impl Direction {
     }
 }
 
-/// One level of the per-run direction trace. All fields are global
-/// (all-reduced), hence identical on every rank.
+/// One level of the per-run direction trace. In a finished
+/// [`DirBfsRun`] all fields are global, hence identical on every rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LevelTrace {
     /// The frontier level being expanded (source = level 0).
@@ -226,7 +233,9 @@ impl Visitor for DirBfsVisitor {
 
 /// Extra engine state serialized next to the queue snapshot at a
 /// checkpoint cut (see [`VisitorQueue::checkpoint`]): everything the
-/// level loop needs that is not derivable from the per-vertex state.
+/// level loop needs that is not derivable from the per-vertex state. The
+/// trace's `inspected` / `candidates` are this rank's share (summed over
+/// ranks only after the run), which each rank restores from its own blob.
 struct EngineCut {
     level: u64,
     dir: Direction,
@@ -236,50 +245,42 @@ struct EngineCut {
     trace: Vec<LevelTrace>,
 }
 
+/// Wire shape of the cut's header and of each trace level: six `u64`s.
+type CutRecord = ((u64, u64, u64), (u64, u64, u64));
+
 impl EngineCut {
     fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(8 * (6 + 6 * self.trace.len()));
-        let mut put = |v: u64| buf.extend_from_slice(&v.to_le_bytes());
-        put(self.level);
-        put(self.dir as u64);
-        put(self.edges_inspected);
-        put(self.top_down_levels);
-        put(self.bottom_up_levels);
-        put(self.trace.len() as u64);
+        let mut buf = Vec::with_capacity((1 + self.trace.len()) * CutRecord::WIRE_SIZE);
+        let head = (self.level, self.dir as u64, self.edges_inspected);
+        let levels = (self.top_down_levels, self.bottom_up_levels, self.trace.len() as u64);
+        put_record(&mut buf, &(head, levels));
         for t in &self.trace {
-            for v in
-                [t.level, t.dir as u64, t.frontier, t.frontier_edges, t.inspected, t.candidates]
-            {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
+            let rec: CutRecord = (
+                (t.level, t.dir as u64, t.frontier),
+                (t.frontier_edges, t.inspected, t.candidates),
+            );
+            put_record(&mut buf, &rec);
         }
         buf
     }
 
     fn decode(bytes: &[u8]) -> Self {
-        let mut pos = 0usize;
-        let mut take = || {
-            let v = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-            pos += 8;
-            v
-        };
-        let level = take();
-        let dir = if take() == 0 { Direction::Top } else { Direction::Bottom };
-        let edges_inspected = take();
-        let top_down_levels = take();
-        let bottom_up_levels = take();
-        let len = take() as usize;
-        let mut trace = Vec::with_capacity(len);
-        for _ in 0..len {
-            trace.push(LevelTrace {
-                level: take(),
-                dir: if take() == 0 { Direction::Top } else { Direction::Bottom },
-                frontier: take(),
-                frontier_edges: take(),
-                inspected: take(),
-                candidates: take(),
-            });
-        }
+        let mut records =
+            bytes.chunks_exact(CutRecord::WIRE_SIZE).map(|c| CutRecord::decode(c, &()));
+        let ((level, dir, edges_inspected), (top_down_levels, bottom_up_levels, len)) =
+            records.next().expect("engine cut holds its header record");
+        let trace: Vec<LevelTrace> = records
+            .map(|((level, dir, frontier), (frontier_edges, inspected, candidates))| LevelTrace {
+                level,
+                dir: Direction::from_code(dir),
+                frontier,
+                frontier_edges,
+                inspected,
+                candidates,
+            })
+            .collect();
+        assert_eq!(trace.len() as u64, len, "engine cut trace length");
+        let dir = Direction::from_code(dir);
         Self { level, dir, edges_inspected, top_down_levels, bottom_up_levels, trace }
     }
 }
@@ -294,7 +295,8 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
     assert_ne!(dcfg.mode, DirectionMode::Async, "direction engine needs a non-Async mode");
     let start = Instant::now();
     let mut q = VisitorQueue::<DirBfsVisitor>::new(ctx, g, cfg.traversal);
-    let mut plane = FrontierPlane::open(ctx);
+    // the bottom-up frontier exchange: `(word_index, bits)` records
+    let mut side: Side<(u64, u64)> = Side::open(ctx, MailboxConfig::default());
     let n = g.num_vertices();
     let nloc = g.num_local_vertices();
     let frontier = AtomicBitVec::new(nloc);
@@ -370,9 +372,11 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
             }
         }
 
-        // -- frontier statistics (masters only; identical on all ranks) --
-        let mut loc_nf = 0u64;
-        let mut loc_mf = 0u64;
+        // -- frontier statistics (masters only): frontier size, its edge
+        // mass and the unvisited edge mass (recomputed per level, so
+        // restore-proof) in the level's one collective — which is also the
+        // fence between the previous level's round and this one's --
+        let (mut loc_nf, mut loc_mf, mut loc_mu) = (0u64, 0u64, 0u64);
         frontier.for_each_set(|li| {
             let v = g.vertex_at(li);
             if g.is_master(v) {
@@ -380,30 +384,24 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
                 loc_mf += g.total_degree(v);
             }
         });
-        let n_f = ctx.all_reduce_sum(loc_nf);
+        for v in (0..nloc).filter(|&li| !visited.get(li)).map(|li| g.vertex_at(li)) {
+            if g.is_master(v) {
+                loc_mu += g.total_degree(v);
+            }
+        }
+        let global = ctx.all_reduce_sum_vec(vec![loc_nf, loc_mf, loc_mu]);
+        let (n_f, m_f, m_u) = (global[0], global[1], global[2]);
         if n_f == 0 {
             break;
         }
-        let m_f = ctx.all_reduce_sum(loc_mf);
-        // unvisited edge mass, recomputed per level (restore-proof)
-        let mut loc_mu = 0u64;
-        for li in 0..nloc {
-            if !visited.get(li) {
-                let v = g.vertex_at(li);
-                if g.is_master(v) {
-                    loc_mu += g.total_degree(v);
-                }
-            }
-        }
-        let m_u = ctx.all_reduce_sum(loc_mu);
 
         // -- direction decision (pure function of all-reduced values) --
         dir = match dcfg.mode {
             DirectionMode::TopDown => Direction::Top,
             DirectionMode::BottomUp => Direction::Bottom,
             DirectionMode::Auto => match dir {
-                Direction::Top if m_f.saturating_mul(dcfg.alpha) > m_u => Direction::Bottom,
-                Direction::Bottom if n_f.saturating_mul(dcfg.beta) < n => Direction::Top,
+                Direction::Top if m_f.saturating_mul(ALPHA) > m_u => Direction::Bottom,
+                Direction::Bottom if n_f.saturating_mul(BETA) < n => Direction::Top,
                 unchanged => unchanged,
             },
             DirectionMode::Async => unreachable!(),
@@ -412,31 +410,41 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
         // -- bottom-up needs the global frontier bitmap on every rank --
         if dir == Direction::Bottom {
             global_frontier.clear_all();
-            let mut ids: Vec<u64> = Vec::with_capacity(loc_nf as usize);
+            // ascending local index = ascending id → sorted word list →
+            // deterministic wire traffic
+            let mut words: Vec<(u64, u64)> = Vec::new();
             frontier.for_each_set(|li| {
                 let v = g.vertex_at(li);
                 if g.is_master(v) {
-                    ids.push(v.0);
+                    let (wi, bit) = (v.0 / 64, 1u64 << (v.0 % 64));
+                    match words.last_mut() {
+                        Some((w, bits)) if *w == wi => *bits |= bit,
+                        _ => words.push((wi, bit)),
+                    }
                 }
             });
-            // sorted ids → sorted word list → deterministic wire traffic
-            let mut words: Vec<(u64, u64)> = Vec::new();
-            for id in ids {
-                let wi = id / 64;
-                let bit = 1u64 << (id % 64);
-                match words.last_mut() {
-                    Some((w, bits)) if *w == wi => *bits |= bit,
-                    _ => words.push((wi, bit)),
+            q.stats_mut().frontier_words_sent += words.len() as u64;
+            for &(wi, bits) in &words {
+                global_frontier.or_word(wi as usize, bits);
+                for dst in (0..ctx.size()).filter(|&dst| dst != ctx.rank()) {
+                    side.mb.send(dst, (wi, bits));
                 }
             }
-            q.stats_mut().frontier_words_sent += words.len() as u64;
-            plane.exchange(&words, |idx, bits| global_frontier.or_word(idx as usize, bits));
+            // Settled under the queue's cut, on every rank (empty `words`
+            // included). A peer that sees the cut first starts generating;
+            // this rank's driver pre-visits those early candidates and
+            // parks them in `newly`, where the level's round wants them.
+            let verdict = q.drain_round_with(&mut newly, &mut side);
+            debug_assert_eq!(verdict, CutVerdict::Cut);
+            for (wi, bits) in side.inbox.drain(..) {
+                global_frontier.or_word(wi as usize, bits);
+            }
         }
 
         // -- generate next-level candidates --
         let bitmaps = (&frontier, &visited, &global_frontier);
         let pushed_before = q.stats_mut().visitors_pushed;
-        let loc_inspected = match &mut pool {
+        let inspected = match &mut pool {
             None => generate(&mut q, g, dir, level, 0..nloc, bitmaps),
             // Static contiguous ranges, absorbed in worker order: the wire
             // sees a deterministic record stream for a given thread count,
@@ -461,17 +469,14 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
                 inspected
             }
         };
-        let loc_pushed = q.stats_mut().visitors_pushed - pushed_before;
-        let inspected = ctx.all_reduce_sum(loc_inspected);
-        let candidates = ctx.all_reduce_sum(loc_pushed);
-        {
-            let s = q.stats_mut();
-            s.edges_inspected += loc_inspected;
-            match dir {
-                Direction::Top => s.top_down_levels += 1,
-                Direction::Bottom => s.bottom_up_levels += 1,
-            }
+        let s = q.stats_mut();
+        s.edges_inspected += inspected;
+        match dir {
+            Direction::Top => s.top_down_levels += 1,
+            Direction::Bottom => s.bottom_up_levels += 1,
         }
+        // `inspected` / `candidates` are this rank's share until the run ends
+        let candidates = s.visitors_pushed - pushed_before;
         trace.push(LevelTrace {
             level,
             dir,
@@ -482,11 +487,17 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
         });
         processed_since = processed_since.saturating_add(n_f);
 
-        // -- deliver the round; survivors are the next frontier --
-        newly.clear();
+        // -- deliver the round; survivors (the frontier round's early
+        // arrivals included) are the next frontier --
         q.drain_round(&mut newly);
         level += 1;
         fold_frontier(g, &frontier, &visited, &mut newly);
+    }
+
+    // the trace's two rank-local columns become global in one collective
+    let local = trace.iter().flat_map(|t| [t.inspected, t.candidates]).collect();
+    for (t, sum) in trace.iter_mut().zip(ctx.all_reduce_sum_vec(local).chunks_exact(2)) {
+        (t.inspected, t.candidates) = (sum[0], sum[1]);
     }
 
     let mut result = crate::algorithms::bfs::finish_result(ctx, g, q);
@@ -542,10 +553,16 @@ fn generate(
                 }
             });
         }),
+        // Scan each unvisited vertex's local (sorted) adjacency slice for the
+        // first neighbor in the global frontier. Early exit makes the hit the
+        // slice minimum — the determinism anchor for bottom-up parents.
+        // `scan_adj` lets compressed storage stop its gap decoder at the hit
+        // instead of materializing the whole slice; the scanned count (and
+        // so `edges_inspected`) is storage-invariant.
         Direction::Bottom => {
             for li in range.filter(|&li| !visited.get(li)) {
                 let v = g.vertex_at(li);
-                let (scanned, hit) = scan_for_parent(g, v, global_frontier);
+                let (scanned, hit) = g.scan_adj(v, |t| global_frontier.get(t as usize));
                 inspected += scanned;
                 if let Some(parent) = hit {
                     sink.push(DirBfsVisitor { vertex: v, length: level + 1, parent });
@@ -554,21 +571,6 @@ fn generate(
         }
     }
     inspected
-}
-
-/// Bottom-up inner loop: scan `v`'s local (sorted) adjacency slice for the
-/// first neighbor in the global frontier. Early exit makes the hit the
-/// slice minimum — the determinism anchor for bottom-up parents. Routed
-/// through `DistGraph::scan_adj` so compressed storage stops its gap
-/// decoder at the hit instead of materializing the whole slice; the
-/// scanned count (and so `edges_inspected`) is storage-invariant.
-#[inline]
-fn scan_for_parent(
-    g: &DistGraph,
-    v: VertexId,
-    global_frontier: &AtomicBitVec,
-) -> (u64, Option<u64>) {
-    g.scan_adj(v, |t| global_frontier.get(t as usize))
 }
 
 #[cfg(test)]

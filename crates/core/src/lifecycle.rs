@@ -37,17 +37,15 @@
 //! the asynchronous engine, which is why result digests cover levels
 //! only.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use havoq_comm::{CancelRecord, CutVerdict, Event, Mailbox, RankCtx};
+use havoq_comm::{CancelRecord, CutVerdict, Event, RankCtx};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
 use havoq_util::parallel::{AtomicBitVec, LockedSlots, PerWorker, WorkerPool};
 
 use crate::batch::{
-    reduce_per_query, BatchBfsData, BatchBfsVisitor, BatchConfig, BatchLedger, LedgerCells,
-    MAX_BATCH,
+    reduce_per_query, seeded_queue, BatchBfsData, BatchBfsVisitor, BatchConfig, BatchLedger,
 };
 use crate::queue::{ShardPusher, Side, TraversalStats, VisitorQueue};
 use crate::visitor::Visitor;
@@ -243,8 +241,6 @@ pub fn bfs_batch_lifecycle<const K: usize>(
     cfg: &BatchConfig,
     cancels: &[(usize, u64)],
 ) -> LifecycleBfsResult {
-    assert!(K <= MAX_BATCH, "batch width {K} exceeds MAX_BATCH {MAX_BATCH}");
-    assert!(sources.len() <= K, "{} sources exceed batch width {K}", sources.len());
     assert!(
         cfg.checkpoint.is_none(),
         "BatchConfig::checkpoint is not supported by bfs_batch_lifecycle: lifecycle runs do not \
@@ -252,36 +248,15 @@ pub fn bfs_batch_lifecycle<const K: usize>(
     );
     let width = sources.len();
     let start = Instant::now();
-    let ledger = Arc::new(LedgerCells::default());
-    let mut q = VisitorQueue::<BatchBfsVisitor<K>>::new_with_ctx(
-        ctx,
-        g,
-        cfg.traversal,
-        Arc::clone(&ledger),
-    );
+    let (mut q, ledger) = seeded_queue::<K>(ctx, g, sources, cfg.traversal);
     q.arm_watchdog(cfg.watchdog_waves.unwrap_or(DEFAULT_WATCHDOG_WAVES));
-    let mut cancel_plane: Side<CancelRecord> = Side {
-        mb: Mailbox::open_with(ctx, ctx.auto_tag(), cfg.traversal.mailbox, ()),
-        inbox: Vec::new(),
-    };
+    let mut cancel_plane: Side<CancelRecord> = Side::open(ctx, cfg.traversal.mailbox);
     let pool = WorkerPool::new(cfg.traversal.threads.max(1));
     let mut exec = RoundExec {
         cells: PerWorker::new_with(pool.size(), |_| (ShardPusher::new(g), 0u64)),
         locks: AtomicBitVec::new(g.num_local_vertices()),
         pool,
     };
-
-    for (qi, &s) in sources.iter().enumerate() {
-        if g.is_master(s) {
-            q.push(BatchBfsVisitor {
-                vertex: s,
-                length: 0,
-                parent: s.0,
-                mask: 1u64 << qi,
-                ledger: Arc::clone(&ledger),
-            });
-        }
-    }
 
     let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; width];
     let mut rounds: u64 = 0;
@@ -329,14 +304,7 @@ pub fn bfs_batch_lifecycle<const K: usize>(
         // 2. Budgets: pure functions of the globally agreed round counter
         //    and all-reduced per-query edge-push counts.
         if cfg.max_rounds.is_some() || cfg.max_inspected.is_some() {
-            let snap = ledger.snapshot();
-            let local: Vec<u64> = (0..width).map(|qi| snap.pushed[qi]).collect();
-            let global = ctx.all_reduce(local, |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            });
+            let global = ctx.all_reduce_sum_vec(ledger.snapshot().pushed[..width].to_vec());
             for (qi, o) in outcomes.iter_mut().enumerate() {
                 if o.is_none() {
                     let over_rounds = cfg.max_rounds.is_some_and(|b| rounds >= b);

@@ -47,6 +47,9 @@ use crate::direction::DirectionConfig;
 use crate::ghost::GhostTable;
 use crate::visitor::{Role, Visitor, VisitorPush};
 
+/// Max visitors executed between consecutive mailbox polls.
+const POLL_BATCH: usize = 128;
+
 /// Traversal tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct TraversalConfig {
@@ -55,8 +58,6 @@ pub struct TraversalConfig {
     pub ghosts: usize,
     /// Mailbox aggregation / routing configuration.
     pub mailbox: MailboxConfig,
-    /// Max visitors executed between consecutive mailbox polls.
-    pub poll_batch: usize,
     /// Order equal-priority visitors by vertex id (the Section V-A
     /// page-locality optimization). When false, equal-priority visitors
     /// run in arrival order — the ablation baseline, which scatters
@@ -81,7 +82,6 @@ impl Default for TraversalConfig {
         Self {
             ghosts: 256,
             mailbox: MailboxConfig::default(),
-            poll_batch: 128,
             locality_order: true,
             threads: 1,
             direction: DirectionConfig::default(),
@@ -228,7 +228,7 @@ pub struct VisitorQueue<'g, V: Visitor + WireCodec> {
 enum Executor<'a, 'g, V: Visitor + WireCodec> {
     /// `threads == 1`: run `visit` on the real state slot, on this thread.
     /// Not a pool of one: `WorkerPool::broadcast` always hands the job to
-    /// other threads and waits, a condvar round trip per `poll_batch`
+    /// other threads and waits, a condvar round trip per `POLL_BATCH`
     /// visitors (DESIGN.md "The driver").
     Inline,
     /// `threads > 1`: fan each chunk out to the worker pool (DESIGN.md §11).
@@ -265,13 +265,21 @@ enum CutPolicy {
 }
 
 /// A second mailbox settled under the same cuts as the queue's own (the
-/// lifecycle engine's cancel plane): its payload counters are summed into
-/// the quiescence poll, so a cut cannot confirm while one of its records
-/// is in flight — at every confirmed cut all ranks hold the same `inbox`.
-/// Arrivals are appended to `inbox`, never executed or forwarded.
+/// lifecycle engine's cancel plane, the direction engine's bottom-up
+/// frontier words): its payload counters are summed into the quiescence
+/// poll, so a cut cannot confirm while one of its records is in flight —
+/// at every confirmed cut all ranks hold every record sent to them in
+/// `inbox`. Arrivals are appended to `inbox`, never executed or forwarded.
 pub(crate) struct Side<C: Send + WireCodec + 'static> {
     pub mb: Mailbox<C>,
     pub inbox: Vec<C>,
+}
+
+impl<C: Send + WireCodec<DecodeCtx = ()> + 'static> Side<C> {
+    /// Collectively open a side plane (draws a world-agreed mailbox tag).
+    pub(crate) fn open(ctx: &RankCtx, cfg: MailboxConfig) -> Self {
+        Self { mb: Mailbox::open(ctx, ctx.auto_tag(), cfg), inbox: Vec::new() }
+    }
 }
 
 impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
@@ -328,11 +336,6 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         for (li, slot) in self.state.iter_mut().enumerate() {
             *slot = f(self.g.vertex_at(li), self.g);
         }
-    }
-
-    /// The graph this queue traverses.
-    pub fn graph(&self) -> &'g DistGraph {
-        self.g
     }
 
     /// Local vertex state, indexed by local vertex index.
@@ -433,8 +436,8 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
             CutPolicy::Terminate | CutPolicy::Round => u64::MAX,
         };
         let chunk_cap = match exec {
-            Executor::Inline => self.cfg.poll_batch,
-            Executor::Pool(px) => self.cfg.poll_batch.saturating_mul(px.pool.size()).max(1),
+            Executor::Inline => POLL_BATCH,
+            Executor::Pool(px) => POLL_BATCH.saturating_mul(px.pool.size()).max(1),
             Executor::Park(_) => usize::MAX,
         };
         let mut executed_since = 0u64;
@@ -575,10 +578,13 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     /// this round has been delivered, pre-visited and (where it improved
     /// state) forwarded down its replica chain, and nothing is in flight.
     ///
-    /// Collective: every rank must drain the same number of rounds, and
-    /// the caller must run at least one collective between consecutive
-    /// rounds (the engine's frontier-size `all_reduce_sum`), so no rank can
-    /// inject round-`k+1` traffic while a peer still polls round `k`.
+    /// Collective: every rank must drain the same number of rounds. A rank
+    /// that confirms round `k` first may inject round-`k+1` traffic while a
+    /// peer still polls round `k`; the straggler parks those arrivals into
+    /// its round-`k` `newly`. So the caller either runs a collective
+    /// between two rounds (the engines' per-level all-reduce), or keeps
+    /// `newly` across them because both feed the same frontier (the
+    /// direction engine's frontier-word round and the level's own).
     pub(crate) fn drain_round(&mut self, newly: &mut Vec<V>) {
         let verdict = self.drive::<V>(&mut Executor::Park(newly), CutPolicy::Round, None);
         debug_assert_eq!(verdict, CutVerdict::Cut);
@@ -586,7 +592,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
 
     /// Like [`Self::drain_round`], but co-settles `side` under the same
     /// cut and surfaces the stall watchdog's [`CutVerdict::Abort`]
-    /// (lifecycle engine, DESIGN.md §15).
+    /// (lifecycle engine, DESIGN.md §15; direction engine, §13).
     pub(crate) fn drain_round_with<C: Send + WireCodec + 'static>(
         &mut self,
         newly: &mut Vec<V>,
@@ -1275,6 +1281,86 @@ mod tests {
                             _ => assert!(run.checkpoints >= p as u64, "epoch 0 at least ({cell})"),
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `rounds` frontier-style exchanges on a [`Side`] plane beside a queue
+    /// that carries no visitors: each rank sends `words(rank, round)` to
+    /// every peer, keeps its own, and settles the round under the queue's
+    /// cut; a collective separates rounds, as the direction engine's
+    /// per-level all-reduce does. Returns every rank's OR-ed map per round.
+    fn side_exchange(
+        p: usize,
+        faults: Option<havoq_comm::FaultConfig>,
+        rounds: u64,
+        words: impl Fn(u64, u64) -> Vec<(u64, u64)> + Sync,
+    ) -> Vec<Vec<std::collections::BTreeMap<u64, u64>>> {
+        let edges = ring_edges(8);
+        CommWorld::run_with_faults(p, faults, |ctx| {
+            let g = DistGraph::build_replicated(
+                ctx,
+                &edges,
+                PartitionStrategy::EdgeList,
+                GraphConfig::default(),
+            );
+            let mut q = VisitorQueue::<Flood>::new(ctx, &g, TraversalConfig::default());
+            let mut side: Side<(u64, u64)> = Side::open(ctx, MailboxConfig::default());
+            let mut parked = Vec::new();
+            let mut out = Vec::new();
+            for round in 0..rounds {
+                let mine = words(ctx.rank() as u64, round);
+                for dst in (0..p).filter(|&dst| dst != ctx.rank()) {
+                    for &w in &mine {
+                        side.mb.send(dst, w);
+                    }
+                }
+                assert_eq!(q.drain_round_with(&mut parked, &mut side), CutVerdict::Cut);
+                let mut dense = std::collections::BTreeMap::new();
+                for (idx, bits) in mine.into_iter().chain(side.inbox.drain(..)) {
+                    *dense.entry(idx).or_insert(0u64) |= bits;
+                }
+                out.push(dense);
+                ctx.barrier();
+            }
+            assert!(parked.is_empty(), "no visitor was ever pushed");
+            out
+        })
+    }
+
+    /// Every rank contributes distinct words; all ranks converge to the
+    /// same OR-ed map, across several rounds and rank counts.
+    #[test]
+    fn side_plane_converges_to_global_or() {
+        for p in [1usize, 2, 5] {
+            let maps = side_exchange(p, None, 3, |me, round| {
+                vec![(me, 1 << (round + me)), (100 + me, me + 1)]
+            });
+            for round in 0..3 {
+                let want = &maps[0][round];
+                assert_eq!(want.len(), 2 * p, "p={p} distinct words");
+                for (r, m) in maps.iter().enumerate() {
+                    assert_eq!(&m[round], want, "p={p} rank {r} round {round}");
+                }
+            }
+        }
+    }
+
+    /// The exchange completes and stays exact under the lossy chaos plan
+    /// (drops + corruption repaired by the mailbox integrity machinery).
+    #[test]
+    fn side_plane_survives_lossy_faults() {
+        for seed in [7u64, 21, 63] {
+            let faults = Some(havoq_comm::FaultConfig::lossy(seed));
+            let maps = side_exchange(3, faults, 4, |me, round| {
+                (0..8).map(|k| (round * 8 + k, me << (8 * k % 48))).collect()
+            });
+            for round in 0..4 {
+                // rank 0's words are all-zero bits but still cross the wire
+                assert_eq!(maps[0][round].len(), 8, "seed={seed} round {round}");
+                for m in &maps {
+                    assert_eq!(m[round], maps[0][round], "seed={seed} round {round}");
                 }
             }
         }

@@ -58,8 +58,6 @@ pub struct GraphConfig {
     pub storage: CsrStorage,
     /// Drop duplicate edges during construction.
     pub dedup: bool,
-    /// Drop self-loops during construction.
-    pub remove_self_loops: bool,
     /// Global vertex count. `None` infers `max endpoint + 1` from the edge
     /// list; set it explicitly when trailing vertices may be isolated.
     pub num_vertices: Option<u64>,
@@ -67,12 +65,7 @@ pub struct GraphConfig {
 
 impl Default for GraphConfig {
     fn default() -> Self {
-        Self {
-            storage: CsrStorage::InMemory,
-            dedup: true,
-            remove_self_loops: true,
-            num_vertices: None,
-        }
+        Self { storage: CsrStorage::InMemory, dedup: true, num_vertices: None }
     }
 }
 

@@ -82,9 +82,8 @@ impl DistGraph {
             None => inferred,
         };
 
-        if cfg.remove_self_loops {
-            local_edges.retain(|e| !e.is_self_loop());
-        }
+        // Drop self-loops during construction.
+        local_edges.retain(|e| !e.is_self_loop());
 
         let (edges, lo, end) = match strategy {
             PartitionStrategy::EdgeList => {

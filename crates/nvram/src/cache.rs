@@ -292,8 +292,11 @@ impl CacheCore {
         let shards = (0..cfg.shards)
             .map(|i| ShardSlot::new(per_shard + usize::from(i < remainder)))
             .collect();
-        let depth = cfg.io.resolved_depth(&device);
-        let workers = if cfg.io.mode == IoMode::Async { cfg.io.resolved_workers(depth) } else { 0 };
+        // Bound on queued requests: the device's `concurrency_hint()` clamped
+        // to `8..=128`, so queue depth tracks the simulated NAND channel
+        // parallelism. Background worker threads: `min(queue depth, 4)`.
+        let depth = device.concurrency_hint().clamp(8, 128);
+        let workers = if cfg.io.mode == IoMode::Async { depth.min(4) } else { 0 };
         let page_crcs = (0..cfg.shards).map(|_| Mutex::new(FxHashMap::default())).collect();
         Self {
             device,

@@ -62,34 +62,12 @@ pub enum IoMode {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoConfig {
     pub mode: IoMode,
-    /// Background worker threads. 0 = auto (`min(queue depth, 4)`).
-    pub workers: usize,
-    /// Bound on queued requests. 0 = auto: the device's
-    /// `concurrency_hint()` clamped to `8..=128`, so queue depth tracks the
-    /// simulated NAND channel parallelism.
-    pub queue_depth: usize,
 }
 
 impl IoConfig {
-    /// Asynchronous engine with auto-sized worker pool and queue.
+    /// Asynchronous engine; worker pool and queue are sized from the device.
     pub fn asynchronous() -> Self {
-        Self { mode: IoMode::Async, workers: 0, queue_depth: 0 }
-    }
-
-    pub(crate) fn resolved_depth(&self, device: &Arc<dyn BlockDevice>) -> usize {
-        if self.queue_depth != 0 {
-            self.queue_depth
-        } else {
-            device.concurrency_hint().clamp(8, 128)
-        }
-    }
-
-    pub(crate) fn resolved_workers(&self, depth: usize) -> usize {
-        if self.workers != 0 {
-            self.workers
-        } else {
-            depth.min(4)
-        }
+        Self { mode: IoMode::Async }
     }
 }
 

@@ -16,7 +16,7 @@
 
 use havoq::prelude::*;
 use havoq::testing::{assert_conserved, gather_state, heavy_sweep_edges, sweep_edges};
-use havoq_comm::FaultConfig;
+use havoq_comm::{FaultConfig, MailboxConfig};
 use havoq_core::CheckpointSpec;
 use havoq_util::testing::{run_cases, sweep_seed_set, sweep_seeds, TestRng};
 
@@ -241,6 +241,51 @@ fn direction_resume_equivalence_after_rank_crashes() {
     }
     assert!(total_crashes > 0, "crash sweep never tore an epoch");
     assert!(total_restores >= total_crashes, "every crash must trigger a world-wide restore");
+}
+
+/// ROADMAP 1a: a top-down level that pushes more than `channel_capacity ×
+/// frame_bytes` at one peer used to deadlock — one rank parked in a
+/// post-generation collective that does not poll its mailbox while its peer
+/// spun on the full bounded channel. A two-frame, 64-byte-frame channel
+/// meets that shape at scale 10. The world runs on its own thread so a
+/// reintroduced hang fails here instead of hanging the suite; each rank
+/// compares its tight-channel state with its default-channel state.
+#[test]
+fn tight_channel_never_deadlocks_and_matches_default_capacity() {
+    let gen = RmatGenerator::graph500(10);
+    let (edges, n) = (gen.symmetric_edges(42), gen.num_vertices());
+    let tight = MailboxConfig::default().with_channel_capacity(Some(2)).with_frame_bytes(64);
+    let (done, wait) = std::sync::mpsc::channel();
+    let world = std::thread::spawn(move || {
+        CommWorld::run(2, |ctx| {
+            let g = DistGraph::build_replicated(
+                ctx,
+                &edges,
+                PartitionStrategy::EdgeList,
+                GraphConfig::default().with_num_vertices(n),
+            );
+            for source in (0..8).map(|k| VertexId(edges[k * edges.len() / 8].src)) {
+                for mode in MODES {
+                    let roomy = BfsConfig::default().with_direction(mode);
+                    let mut cfg = roomy;
+                    cfg.traversal.mailbox = tight;
+                    let got = direction_bfs(ctx, &g, source, &cfg);
+                    let want = direction_bfs(ctx, &g, source, &roomy);
+                    let case = format!("source {source} {mode:?} rank {}", ctx.rank());
+                    assert_eq!(got.result.local_state, want.result.local_state, "{case}");
+                    assert_eq!(got.edges_inspected, want.edges_inspected, "{case}");
+                }
+            }
+        });
+        let _ = done.send(());
+    });
+    match wait.recv_timeout(std::time::Duration::from_secs(20)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("direction_bfs hung on a 2-frame channel (ROADMAP 1a)")
+        }
+        // done, or a rank panicked and dropped the sender: surface it
+        _ => world.join().expect("a rank's comparison failed"),
+    }
 }
 
 /// Property: on random symmetrized graphs the switch heuristic never

