@@ -16,10 +16,11 @@
 //! asynchronous I/O: the async rows must show lower per-rank I/O stall,
 //! and the BFS level assignment must be bit-identical across all modes.
 //! The `sync-nocrc` row prices the integrity layer on a fault-free network
-//! — framing CRCs plus the sender-side retransmit buffer should cost well
-//! under ~5% of the traversal wall clock. The `comp-*` rows must fit at
-//! least 2× the edges per cache byte (encoded ≤ 4 B/edge vs the raw 8)
-//! with the exact same BFS levels. `--storage {mem,ext,ext-compressed}`
+//! — framing CRCs plus the sender-side retransmit buffer add under ~5% to
+//! the wire bytes (exact) and, on an in-memory two-rank BFS, 11–14% to the
+//! wall clock (DESIGN.md §10). The `comp-*` rows must fit at least 2× the
+//! edges per cache byte (encoded ≤ 4 B/edge vs the raw 8) with the exact
+//! same BFS levels. `--storage {mem,ext,ext-compressed}`
 //! restricts the matrix to one backend.
 
 use std::time::Duration;
@@ -348,7 +349,7 @@ fn main() {
         "rows hide the device behind readahead + write-behind: same BFS levels,",
         "lower io_stall_ms at an identical cache budget. The sync-nocrc rows",
         "price the integrity layer on a clean network: identical BFS levels,",
-        "CRC + retransmit-buffer overhead well under ~5%. The comp-* rows pack",
+        "CRC trailer bytes well under ~5% of the wire. The comp-* rows pack",
         "the same edges into gap bytes at the same cache budget: >=2x edges per",
         "cache byte, higher hit rate, fewer device reads, same BFS levels.",
     ]);

@@ -234,6 +234,15 @@ impl FramePool {
         }
     }
 
+    /// A pooled copy of `frame` (the retransmit buffer's and the fault
+    /// plan's second copies), so the counters see every buffer a mailbox
+    /// holds.
+    pub fn copy_of(&mut self, frame: &[u8]) -> Vec<u8> {
+        let mut buf = self.get();
+        buf.extend_from_slice(frame);
+        buf
+    }
+
     /// Return a buffer to the free list (dropped if the list is full).
     pub fn put(&mut self, buf: Vec<u8>) {
         if self.free.len() < self.max_free {

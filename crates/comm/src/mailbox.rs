@@ -10,9 +10,11 @@
 //! `O(sqrt(p))` comes from: a routed rank merges records from many sources
 //! heading to the same column.
 //!
-//! Frame buffers are recycled through a per-mailbox [`FramePool`]: in steady
-//! state a rank receives about as many frames as it sends, so traversal
-//! ships frames with zero allocation.
+//! Frame buffers are recycled through a per-mailbox [`FramePool`] — the
+//! frames under construction and the integrity layer's retained copies
+//! alike: in steady state a rank receives about as many frames as it sends
+//! and every retained copy comes back on an ACK, so traversal ships frames
+//! with zero allocation.
 //!
 //! Channels are bounded (capacity [`MailboxConfig::channel_capacity`]); a
 //! full channel makes `ship` run the blocking slow path: count the stall,
@@ -56,7 +58,7 @@ use crate::runtime::RankCtx;
 use crate::stats::Event;
 use crate::topology::{Topology, TopologyKind};
 use crate::transport::Transport;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Configuration for a [`Mailbox`].
 #[derive(Clone, Copy, Debug)]
@@ -237,11 +239,15 @@ impl RecvWindow {
     }
 }
 
-/// Per-destination retransmit buffer: sealed frames not yet covered by a
-/// cumulative ACK, keyed by their wire sequence number.
+/// Per-destination retransmit buffer: pool-backed copies of the sealed
+/// frames not yet covered by a cumulative ACK. A hop's wire sequence numbers
+/// are consecutive (duplicates and retransmits reuse theirs), so the copy of
+/// `seq` sits at index `seq - base`.
 #[derive(Default)]
 struct SendBuffer {
-    unacked: BTreeMap<u64, Vec<u8>>,
+    unacked: VecDeque<Vec<u8>>,
+    /// Sequence number of `unacked[0]`.
+    base: u64,
     /// Tick when the oldest unacknowledged frame is re-shipped unprompted.
     rto_due: Option<u64>,
     rto_backoff: u64,
@@ -366,9 +372,10 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
             local: VecDeque::new(),
             inbox: VecDeque::new(),
             integrity,
-            // a rank builds at most one frame per hop and keeps a few spares
-            // for receive churn
-            pool: FramePool::new(frame_cap, 2 * p + 8),
+            // a rank builds at most one frame per hop, keeps a few spares
+            // for receive churn, and gets back up to ACK_EVERY_FRAMES
+            // retained copies per hop in one cumulative ACK
+            pool: FramePool::new(frame_cap, 2 * p + 8 + p * ACK_EVERY_FRAMES as usize),
             recv_cost_ns: cfg.recv_cost_ns,
             counters: MailboxStatsSnapshot {
                 frame_capacity_records: cap_records as u64,
@@ -497,11 +504,13 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
     /// keys on the sequence number the send will carry, so it is stable
     /// across backpressure retries.
     fn ship(&mut self, hop: usize, frame: Frame, records: u64, bytes: u64) {
-        let duplicate =
-            self.transport.wants_duplicate(hop).then(|| Frame { buf: frame.buf.clone() });
+        let duplicate = self
+            .transport
+            .wants_duplicate(hop)
+            .then(|| Frame { buf: self.pool.copy_of(&frame.buf) });
         // the integrity layer holds a copy of the sealed frame until the
         // receiver's cumulative ACK covers its sequence number
-        let retain = self.integrity.is_some().then(|| frame.buf.clone());
+        let retain = self.integrity.is_some().then(|| self.pool.copy_of(&frame.buf));
         let mut frame = frame;
         loop {
             match self.transport.try_send_counted(hop, frame, records, bytes) {
@@ -512,8 +521,10 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
                         let sb = &mut integ.sends[hop];
                         if sb.unacked.is_empty() {
                             sb.rto_due = Some(integ.tick + RTO_TICKS);
+                            sb.base = seq;
                         }
-                        sb.unacked.insert(seq, buf);
+                        debug_assert_eq!(seq, sb.base + sb.unacked.len() as u64);
+                        sb.unacked.push_back(buf);
                     }
                     if let Some(copy) = duplicate {
                         self.transport.send_duplicate(hop, copy);
@@ -666,7 +677,11 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
                 Control::Ack(hi) => {
                     let sb = &mut integ.sends[peer];
                     let before = sb.unacked.len();
-                    sb.unacked = sb.unacked.split_off(&hi);
+                    while sb.base < hi {
+                        let Some(buf) = sb.unacked.pop_front() else { break };
+                        self.pool.put(buf);
+                        sb.base += 1;
+                    }
                     if sb.unacked.len() != before {
                         // progress: the tail timer restarts from scratch
                         sb.rto_backoff = 0;
@@ -677,8 +692,11 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
                 Control::Nack(seq) => {
                     // a stale NACK (number already pruned by a later ACK)
                     // is ignored — the receiver got a copy after all
-                    if let Some(buf) = integ.sends[peer].unacked.get(&seq) {
-                        self.transport.send_retransmit(peer, seq, Frame { buf: buf.clone() });
+                    let sb = &integ.sends[peer];
+                    let held = seq.checked_sub(sb.base).and_then(|i| sb.unacked.get(i as usize));
+                    if let Some(buf) = held {
+                        let copy = Frame { buf: self.pool.copy_of(buf) };
+                        self.transport.send_retransmit(peer, seq, copy);
                     }
                 }
             }
@@ -725,8 +743,8 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
                             "rank {me}: frame to rank {dst} unacknowledged after {} timeouts",
                             sb.rto_attempts,
                         );
-                        let (&seq, buf) = sb.unacked.iter().next().unwrap();
-                        self.transport.send_retransmit(dst, seq, Frame { buf: buf.clone() });
+                        let copy = Frame { buf: self.pool.copy_of(&sb.unacked[0]) };
+                        self.transport.send_retransmit(dst, sb.base, copy);
                         sb.rto_attempts += 1;
                         sb.rto_backoff = (sb.rto_backoff.max(RTO_TICKS) * 2).min(BACKOFF_CAP_TICKS);
                         sb.rto_due = Some(tick + sb.rto_backoff);
@@ -1147,6 +1165,46 @@ mod tests {
                 st.pool_allocated,
                 st.pool_reused
             );
+        }
+    }
+
+    #[test]
+    fn pool_stops_allocating_after_warmup_retained_copies_included() {
+        // 10 000 frames each way on two ranks, integrity on. The warm-up is a
+        // burst shipped without polling, so more retained copies are
+        // outstanding than the lock-step rounds after it ever hold (those
+        // are ACKed every ACK_EVERY_FRAMES deliveries); from then on every
+        // frame and every retained copy must come off the free list.
+        let frames = 10_000u64;
+        let burst = 2 * ACK_EVERY_FRAMES;
+        let res = CommWorld::run(2, |ctx| {
+            let cfg = MailboxConfig { batch_size: 8, ..MailboxConfig::default() };
+            let mut mb = Mailbox::<u64>::open(ctx, 1, cfg);
+            let peer = 1 - ctx.rank();
+            let mut out = Vec::new();
+            for i in 0..burst * 8 {
+                mb.send(peer, i);
+            }
+            while mb.received_count() < burst * 8 {
+                mb.poll(&mut out);
+            }
+            let warm = mb.stats().pool_allocated;
+            for round in burst..frames {
+                for i in 0..8 {
+                    mb.send(peer, round * 8 + i);
+                }
+                while mb.received_count() < (round + 1) * 8 {
+                    mb.poll(&mut out);
+                }
+                out.clear();
+            }
+            (warm, mb.stats())
+        });
+        for (warm, st) in &res {
+            assert_eq!(st.frames_sent, frames);
+            assert!(*warm <= 2 * burst + 1, "a frame and its retained copy per burst frame");
+            assert_eq!(st.pool_allocated, *warm, "steady state allocated frame buffers");
+            assert!(st.pool_reused >= 2 * (frames - burst), "retained copies are pooled too");
         }
     }
 
