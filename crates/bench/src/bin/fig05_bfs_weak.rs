@@ -13,7 +13,7 @@
 
 use havoq_bench::{csv_row, ms, pick, Experiment};
 use havoq_comm::{CommWorld, Event, TopologyKind};
-use havoq_core::algorithms::bfs::{bfs, BfsConfig, UNREACHED};
+use havoq_core::algorithms::bfs::{bfs, level_digest, BfsConfig};
 use havoq_core::direction::{direction_bfs, DirectionMode};
 use havoq_graph::csr::GraphConfig;
 use havoq_graph::dist::{DistGraph, PartitionStrategy};
@@ -21,14 +21,6 @@ use havoq_graph::gen::rmat::RmatGenerator;
 use havoq_graph::types::VertexId;
 use havoq_nvram::cache::PageCacheConfig;
 use havoq_nvram::device::DeviceProfile;
-
-/// splitmix64 finalizer — mixes one (vertex, level) pair into the
-/// order-independent traversal fingerprint.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 fn main() {
     let per_rank_log2: u32 = pick(10, 12);
@@ -159,13 +151,7 @@ fn direction_table(scale: u32) {
             let t = std::time::Instant::now();
             let run = direction_bfs(ctx, &g, VertexId(0), &cfg);
             let secs = ctx.all_reduce_max(t.elapsed().as_nanos() as u64) as f64 / 1e9;
-            let mut fp = 0u64;
-            for v in g.local_vertices().filter(|&v| g.is_master(v)) {
-                let l = run.result.local_state[g.local_index(v)].length;
-                if l != UNREACHED {
-                    fp = fp.wrapping_add(mix(v.0 ^ mix(l.wrapping_add(1))));
-                }
-            }
+            let fp = level_digest(&g, |li| run.result.local_state[li].length);
             (ctx.all_reduce_sum(fp), run, secs)
         };
         let (top_fp, top_run, top_secs) = run_one(DirectionMode::TopDown);
@@ -259,13 +245,7 @@ fn threads_speedup_table(scale: u32) {
             local.extend(local.clone().iter().filter(|e| !e.is_self_loop()).map(|e| e.reversed()));
             let g = DistGraph::build(ctx, local, PartitionStrategy::EdgeList, cfg);
             let r = bfs(ctx, &g, VertexId(0), &bcfg);
-            let mut fp = 0u64;
-            for v in g.local_vertices().filter(|&v| g.is_master(v)) {
-                let l = r.local_state[g.local_index(v)].length;
-                if l != UNREACHED {
-                    fp = fp.wrapping_add(mix(v.0 ^ mix(l.wrapping_add(1))));
-                }
-            }
+            let fp = level_digest(&g, |li| r.local_state[li].length);
             (r, fp)
         });
         let elapsed = out.iter().map(|(r, _)| r.elapsed).max().unwrap();

@@ -28,7 +28,7 @@ use std::time::Duration;
 use havoq_bench::{csv_row, ms, overhead_pct, pick, Experiment, StorageMode};
 use havoq_comm::codec::FRAME_CRC_BYTES;
 use havoq_comm::{CommWorld, Event};
-use havoq_core::algorithms::bfs::{bfs, BfsConfig, UNREACHED};
+use havoq_core::algorithms::bfs::{bfs, level_digest, BfsConfig};
 use havoq_core::CheckpointSpec;
 use havoq_graph::dist::{DistGraph, PartitionStrategy};
 use havoq_graph::gen::rmat::RmatGenerator;
@@ -36,14 +36,6 @@ use havoq_graph::types::VertexId;
 use havoq_nvram::cache::PageCacheConfig;
 use havoq_nvram::device::DeviceProfile;
 use havoq_nvram::{IoConfig, IoMode};
-
-/// splitmix64 finalizer — mixes one (vertex, level) pair into the
-/// order-independent traversal fingerprint.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 fn main() {
     let per_rank_log2: u32 = pick(10, 12);
@@ -159,15 +151,8 @@ fn main() {
                     bcfg = bcfg.with_checkpoint(CheckpointSpec::default().with_every(every));
                 }
                 let r = bfs(ctx, &g, VertexId(0), &bcfg);
-                // order-independent fingerprint of the BFS level assignment:
-                // commutative sum over this rank's masters
-                let mut fp = 0u64;
-                for v in g.local_vertices().filter(|&v| g.is_master(v)) {
-                    let l = r.local_state[g.local_index(v)].length;
-                    if l != UNREACHED {
-                        fp = fp.wrapping_add(mix(v.0 ^ mix(l.wrapping_add(1))));
-                    }
-                }
+                // this rank's share of the order-independent level digest
+                let fp = level_digest(&g, |li| r.local_state[li].length);
                 let dev_reads = g.csr().cache().map(|c| c.device().stats().reads).unwrap_or(0);
                 (r, dev_reads, fp)
             });

@@ -24,7 +24,7 @@
 
 use havoq_bench::{csv_row, overhead_pct, pick, Experiment};
 use havoq_comm::{CommWorld, Event, EventCounts, FaultConfig, RankCtx};
-use havoq_core::algorithms::bfs::{bfs, BfsConfig};
+use havoq_core::algorithms::bfs::{bfs, level_digest, BfsConfig};
 use havoq_core::algorithms::validate::validate_bfs;
 use havoq_core::batch::{BatchConfig, QueryBatch, MAX_BATCH};
 use havoq_core::direction::{direction_bfs, DirectionMode};
@@ -41,27 +41,11 @@ fn main() {
     }
 }
 
-/// splitmix64 finalizer: the per-vertex mixer for the level fingerprint.
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58476D1CE4E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
-/// Order-independent global digest of a BFS level array: every master
-/// vertex contributes `mix(vertex ⊕ mix(level))` into a wrapping sum, then
-/// the sum is all-reduced. Identical level arrays (the schedule-invariant
-/// part of a BFS — parents are not) yield identical digests on every rank.
+/// World digest of a BFS level array ([`level_digest`] summed over ranks):
+/// identical level arrays (the schedule-invariant part of a BFS — parents
+/// are not) yield identical digests on every rank.
 fn level_fingerprint(ctx: &RankCtx, g: &DistGraph, length_of: impl Fn(usize) -> u64) -> u64 {
-    let mut acc = 0u64;
-    for v in g.local_vertices() {
-        if g.is_master(v) {
-            acc = acc.wrapping_add(mix(v.0 ^ mix(length_of(g.local_index(v)))));
-        }
-    }
-    ctx.all_reduce_sum(acc)
+    ctx.all_reduce_sum(level_digest(g, length_of))
 }
 
 /// The slowest rank's elapsed time, in seconds — the number the aggregate

@@ -3,14 +3,41 @@
 //! The paper's framework only assumes non-blocking point-to-point MPI plus
 //! the handful of collectives any MPI implementation provides (reductions for
 //! triangle totals, barriers around timing regions, all-to-all for the
-//! distributed edge-list sort). These are implemented here over binomial
-//! trees so the simulated transport carries the same O(p log p) message
+//! distributed edge-list sort). These are implemented here over a binomial
+//! tree so the simulated transport carries the same O(p log p) message
 //! pattern a real MPI would.
 //!
-//! SPMD contract: every rank must invoke every collective in the same order
-//! (each invocation draws a fresh world-agreed channel tag).
+//! SPMD contract: every rank must invoke every collective in the same order.
+//!
+//! # One tree for every collective
+//!
+//! Every tree-shaped collective is [`RankCtx::all_reduce`] over a suitable
+//! monoid, and every `all_reduce` of a world runs over the *same* channel —
+//! the reduction tree [`RankCtx`] opens at world start — carrying its
+//! partials as `Box<dyn Any>`. A call costs its 2(p − 1) messages and
+//! nothing else: no channel set, no registry entry, no tag.
+//!
+//! Consecutive collectives cannot interleave on that channel. The tree is
+//! fixed (binomial, rooted at rank 0), channels are FIFO per (source,
+//! destination) pair, and a collective sends one message up and one down
+//! each tree edge: a child cannot send its partial of k + 1 before its
+//! parent has sent it the result of k, and a parent cannot send a child the
+//! result of k before that child's partial of k has arrived. So while a
+//! rank waits for its children's partials of collective k nothing else can
+//! reach it, and while it waits for its parent's result of k only that can:
+//! no rank receives a message of collective k + 1 before it has finished
+//! its receives of k. Every message carries its collective's number and
+//! `all_reduce` debug-asserts the claim on each receive. Ranks that
+//! disagree on *which* collective is number k (an SPMD violation) disagree
+//! on the partial's type, which the downcast turns into a panic naming it.
+//!
+//! [`RankCtx::all_to_allv`] is the exception: its p² messages are not
+//! tree-shaped (a fast rank's next round could overtake a slow peer's
+//! receives) and it runs O(1) times per graph build, so it alone opens a
+//! channel set per call — retired from the registry once every rank holds
+//! its end, freed when the call returns.
 
-use havoq_util::FxHashMap;
+use std::any::type_name;
 
 use crate::runtime::RankCtx;
 use crate::stats::EventCounts;
@@ -42,58 +69,51 @@ pub fn tree_children(rank: usize, ranks: usize) -> Vec<usize> {
 
 impl RankCtx {
     /// Reduce `value` with `op` across all ranks; every rank gets the result.
+    /// Partials are folded in arrival order, so `op` should be associative
+    /// and commutative.
     pub fn all_reduce<T, F>(&self, value: T, op: F) -> T
     where
         T: Send + Clone + 'static,
         F: Fn(T, T) -> T,
     {
-        let tag = self.next_collective_tag();
-        let ch = self.channel_internal::<T>(tag);
         let rank = self.rank();
-        let children = tree_children(rank, self.size());
-        let parent = tree_parent(rank);
+        let round = self.tree_round.replace(self.tree_round.get() + 1);
+        let (parent, children) = (tree_parent(rank), tree_children(rank, self.size()));
+        // The next partial of this collective, from a child or from the parent.
+        let recv = |down: bool| -> T {
+            let (src, (sent_in, partial)) = self.tree.recv_blocking(self);
+            debug_assert!(
+                sent_in == round && (parent == Some(src)) == down,
+                "rank {rank} in collective {round} (down={down}) got rank {src}'s of {sent_in}"
+            );
+            *partial.downcast::<T>().unwrap_or_else(|_| {
+                panic!(
+                    "collective type skew: rank {src} is not in the all_reduce::<{}> that rank \
+                     {rank} entered as collective {round} (SPMD violation)",
+                    type_name::<T>()
+                )
+            })
+        };
 
         // Upward phase: fold children's partial results into ours.
         let mut acc = value;
-        let mut pending_children = children.len();
-        // A parent's broadcast can arrive while a slow sibling's reduce
-        // message is still queued behind it, so stash it.
-        let mut parent_result: Option<T> = None;
-        while pending_children > 0 {
-            let (src, v) = ch.recv_blocking(self);
-            if Some(src) == parent {
-                parent_result = Some(v);
-            } else {
-                acc = op(acc, v);
-                pending_children -= 1;
-            }
+        for _ in &children {
+            acc = op(acc, recv(false));
         }
+        // Downward phase: the root's total comes back the same way.
         if let Some(p) = parent {
-            ch.send(p, acc);
-            // Downward phase: wait for the final result from our parent.
-            let result = match parent_result {
-                Some(v) => v,
-                None => {
-                    let (src, v) = ch.recv_blocking(self);
-                    assert_eq!(src, p, "unexpected reduce message from rank {src}");
-                    v
-                }
-            };
-            for &c in &children {
-                ch.send(c, result.clone());
-            }
-            result
-        } else {
-            for &c in &children {
-                ch.send(c, acc.clone());
-            }
-            acc
+            self.tree.send(p, (round, Box::new(acc)));
+            acc = recv(true);
         }
+        for &c in &children {
+            self.tree.send(c, (round, Box::new(acc.clone())));
+        }
+        acc
     }
 
     /// Sum-reduction convenience used throughout the experiments.
     pub fn all_reduce_sum(&self, v: u64) -> u64 {
-        self.all_reduce(v, |a, b| a.wrapping_add(b))
+        self.all_reduce(v, u64::wrapping_add)
     }
 
     /// Element-wise sum of equal-length vectors: many counters, one
@@ -124,33 +144,21 @@ impl RankCtx {
         self.all_reduce(v, u64::min)
     }
 
-    /// Synchronize all ranks (binomial reduce + broadcast of a unit token).
+    /// Synchronize all ranks (reduce + broadcast of a unit token).
     pub fn barrier(&self) {
-        let _ = self.all_reduce_sum(0);
+        self.all_reduce((), |(), ()| ())
     }
 
-    /// Broadcast `value` from `root` to every rank.
+    /// Broadcast `value` from `root` to every rank: the reduction in which
+    /// only `root` contributes.
     pub fn broadcast<T>(&self, root: usize, value: Option<T>) -> T
     where
         T: Send + Clone + 'static,
     {
         assert!(root < self.size());
-        let tag = self.next_collective_tag();
-        let ch = self.channel_internal::<T>(tag);
-        // Relabel ranks so `root` plays rank 0 in the binomial tree.
-        let p = self.size();
-        let virt = (self.rank() + p - root) % p;
-        let to_real = |v: usize| (v + root) % p;
-        let v = if virt == 0 {
-            value.expect("broadcast root must supply a value")
-        } else {
-            let (_src, v) = ch.recv_blocking(self);
-            v
-        };
-        for c in tree_children(virt, p) {
-            ch.send(to_real(c), v.clone());
-        }
-        v
+        assert!(self.rank() != root || value.is_some(), "broadcast root must supply a value");
+        self.all_reduce(value.filter(|_| self.rank() == root), Option::or)
+            .expect("the root contributed a value")
     }
 
     /// Gather one value from every rank onto every rank, indexed by rank.
@@ -158,21 +166,12 @@ impl RankCtx {
     where
         T: Send + Clone + 'static,
     {
-        let tag = self.next_collective_tag();
-        let ch = self.channel_internal::<(usize, T)>(tag);
-        if self.rank() == 0 {
-            let mut slots: FxHashMap<usize, T> = FxHashMap::default();
-            slots.insert(0, value);
-            while slots.len() < self.size() {
-                let (_src, (r, v)) = ch.recv_blocking(self);
-                slots.insert(r, v);
-            }
-            let all: Vec<T> = (0..self.size()).map(|r| slots.remove(&r).unwrap()).collect();
-            self.broadcast(0, Some(all))
-        } else {
-            ch.send(0, (self.rank(), value));
-            self.broadcast(0, None)
-        }
+        let mut all = self.all_reduce(vec![(self.rank(), value)], |mut a, mut b| {
+            a.append(&mut b);
+            a
+        });
+        all.sort_unstable_by_key(|&(rank, _)| rank);
+        all.into_iter().map(|(_, v)| v).collect()
     }
 
     /// Exclusive prefix sum of `value` over rank order (rank 0 gets 0).
@@ -180,35 +179,30 @@ impl RankCtx {
     /// With the modest rank counts of the simulation an all-gather followed
     /// by a local prefix is both simple and optimal enough.
     pub fn exscan_sum(&self, value: u64) -> u64 {
-        let all = self.all_gather(value);
-        all[..self.rank()].iter().sum()
+        self.all_gather(value)[..self.rank()].iter().sum()
     }
 
     /// Personalized all-to-all: `outgoing[d]` is sent to rank `d`; returns
     /// `incoming[s]` = what rank `s` sent here. Used by the distributed
-    /// edge-list sample sort.
-    pub fn all_to_allv<T>(&self, mut outgoing: Vec<Vec<T>>) -> Vec<Vec<T>>
+    /// edge-list sample sort. Not tree-shaped, so it runs over a channel
+    /// set of its own (see the module docs).
+    pub fn all_to_allv<T>(&self, outgoing: Vec<Vec<T>>) -> Vec<Vec<T>>
     where
         T: Send + 'static,
     {
         let p = self.size();
         assert_eq!(outgoing.len(), p, "all_to_allv needs one bucket per rank");
-        let tag = self.next_collective_tag();
-        let ch = self.channel_internal::<Vec<T>>(tag);
-        for (dst, buf) in outgoing.drain(..).enumerate() {
-            let n = buf.len() as u64;
-            // byte volume is an in-memory estimate (typed channel, not framed)
-            ch.send_counted(dst, buf, n, n * std::mem::size_of::<T>() as u64);
+        let ch = self.channel_internal::<Vec<T>>(self.next_collective_tag());
+        for (dst, buf) in outgoing.into_iter().enumerate() {
+            ch.send(dst, buf);
         }
         let mut incoming: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        let mut remaining = p;
-        while remaining > 0 {
+        for _ in 0..p {
             let (src, buf) = ch.recv_blocking(self);
             assert!(incoming[src].is_none(), "duplicate all_to_allv message from {src}");
             incoming[src] = Some(buf);
-            remaining -= 1;
         }
-        incoming.into_iter().map(|o| o.unwrap()).collect()
+        incoming.into_iter().map(|o| o.expect("one bucket from every rank")).collect()
     }
 }
 
@@ -216,6 +210,7 @@ impl RankCtx {
 mod tests {
     use super::*;
     use crate::runtime::CommWorld;
+    use havoq_util::testing::TestRng;
 
     #[test]
     fn tree_shape_is_consistent() {
@@ -308,18 +303,104 @@ mod tests {
         }
     }
 
+    /// Every collective kind, every broadcast root and the one non-tree
+    /// collective, back to back over the world's single tree channel, with
+    /// each rank entering each call after a seeded burst of yields so fast
+    /// ranks run ahead of slow ones differently every call.
     #[test]
     fn repeated_collectives_do_not_cross_talk() {
-        let got = CommWorld::run(3, |ctx| {
-            let mut acc = 0;
-            for i in 0..20u64 {
-                acc += ctx.all_reduce_sum(i + ctx.rank() as u64);
+        for p in [1usize, 2, 3, 5, 7, 16] {
+            CommWorld::run(p, |ctx| {
+                let (me, n) = (ctx.rank() as u64, p as u64);
+                let mut rng = TestRng::new(0xC011 ^ (n << 8) ^ me);
+                let mut stagger = || (0..rng.below(4)).for_each(|_| std::thread::yield_now());
+                let ranks_sum = n * (n - 1) / 2;
+                for i in 0..20u64 {
+                    stagger();
+                    assert_eq!(ctx.all_reduce_sum(i + me), n * i + ranks_sum, "p={p} i={i}");
+                    stagger();
+                    assert_eq!(ctx.all_reduce_max(i * me), i * (n - 1));
+                    stagger();
+                    assert_eq!(ctx.all_reduce_min(i + me), i);
+                    stagger();
+                    assert_eq!(ctx.all_reduce_sum_vec(vec![me, i]), [ranks_sum, n * i]);
+                    stagger();
+                    ctx.barrier();
+                    stagger();
+                    let root = (i as usize) % p;
+                    let word = format!("{i} from {root}");
+                    let sent = (ctx.rank() == root).then(|| word.clone());
+                    assert_eq!(ctx.broadcast(root, sent), word);
+                    stagger();
+                    let gathered = ctx.all_gather((me, i));
+                    assert_eq!(gathered, (0..n).map(|r| (r, i)).collect::<Vec<_>>());
+                    stagger();
+                    assert_eq!(ctx.exscan_sum(me + i), (0..me).sum::<u64>() + me * i);
+                    stagger();
+                    let out = (0..n).map(|d| vec![me * 100 + d; (i % 3) as usize]).collect();
+                    for (src, buf) in ctx.all_to_allv::<u64>(out).into_iter().enumerate() {
+                        assert_eq!(buf, vec![src as u64 * 100 + me; (i % 3) as usize]);
+                    }
+                }
+            });
+        }
+    }
+
+    /// What the flatness regressions run: sum-reductions, gathers and a
+    /// broadcast from every root, checked, with the registry's live-entry
+    /// count sampled at a barrier before and after.
+    fn assert_collectives_stay_flat(p: usize, sums: u64, gathers: u64) {
+        CommWorld::run(p, |ctx| {
+            let (me, n) = (ctx.rank() as u64, p as u64);
+            ctx.barrier(); // every rank holds its end of the tree
+            let before = ctx.world.registry.len();
+            for i in 0..sums {
+                assert_eq!(ctx.all_reduce_sum(i + me), n * i + n * (n - 1) / 2);
             }
-            acc
+            for i in 0..gathers {
+                assert_eq!(ctx.all_gather(i + me), (i..i + n).collect::<Vec<_>>());
+            }
+            for root in 0..p {
+                assert_eq!(ctx.broadcast(root, (ctx.rank() == root).then_some(root)), root);
+            }
+            ctx.barrier();
+            assert_eq!(
+                (before, ctx.world.registry.len()),
+                (0, 0),
+                "p={p}: a collective left a set"
+            );
         });
-        // sum over i of (3i + 0+1+2)
-        let expect: u64 = (0..20u64).map(|i| 3 * i + 3).sum();
-        assert!(got.iter().all(|&g| g == expect));
+    }
+
+    /// A collective costs messages, not a registered channel set.
+    #[test]
+    fn collectives_stay_flat() {
+        for p in [2usize, 5, 16] {
+            assert_collectives_stay_flat(p, 10_000, 200);
+        }
+    }
+
+    /// The CI guard (release, `--include-ignored`): at p = 64 an
+    /// O(p²)-per-call collective turns 2000 calls into a timeout.
+    #[test]
+    #[ignore = "64 rank threads; run in release by the CI test job"]
+    fn collectives_stay_flat_at_p64() {
+        assert_collectives_stay_flat(64, 2000, 20);
+    }
+
+    /// Ranks that disagree on which collective comes next used to hang on
+    /// two different channels; on the shared tree the partial's type gives
+    /// the disagreement away.
+    #[test]
+    #[should_panic(expected = "collective type skew")]
+    fn mismatched_collectives_panic_instead_of_hanging() {
+        CommWorld::run(2, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.all_reduce(1u64, |a, b| a + b);
+            } else {
+                ctx.all_reduce(1u32, |a, b| a + b);
+            }
+        });
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! SPMD launch: one thread per simulated MPI rank.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::fault::{FaultConfig, FaultPlan};
-use crate::registry::Registry;
+use crate::registry::{Registry, COLLECTIVE_TAG_BASE, RESERVED_TAG_BASE};
 use crate::transport::Transport;
 
 /// Handle that launches SPMD regions over `p` simulated ranks.
@@ -46,22 +47,21 @@ impl CommWorld {
         F: Fn(&RankCtx) -> R + Sync,
     {
         assert!(ranks > 0, "world must have at least one rank");
-        let registry = Arc::new(Registry::new(ranks));
-        let poisoned = Arc::new(AtomicBool::new(false));
-        let plan = faults.filter(FaultConfig::is_active).map(|cfg| Arc::new(FaultPlan::new(cfg)));
+        let world = Arc::new(World {
+            registry: Registry::new(ranks),
+            poisoned: AtomicBool::new(false),
+            faults: faults.filter(FaultConfig::is_active).map(|cfg| Arc::new(FaultPlan::new(cfg))),
+        });
 
         let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..ranks)
                 .map(|rank| {
-                    let registry = Arc::clone(&registry);
-                    let poisoned = Arc::clone(&poisoned);
-                    let plan = plan.clone();
-                    let f = &f;
+                    let (world, f) = (Arc::clone(&world), &f);
                     scope.spawn(move || {
-                        let ctx = RankCtx::new(rank, ranks, registry, Arc::clone(&poisoned), plan);
+                        let ctx = RankCtx::new(rank, Arc::clone(&world));
                         let out = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
                         if out.is_err() {
-                            poisoned.store(true, Ordering::SeqCst);
+                            world.poisoned.store(true, Ordering::SeqCst);
                         }
                         out
                     })
@@ -89,6 +89,14 @@ impl CommWorld {
     }
 }
 
+/// What the ranks of one run share: the rendezvous for opening channels,
+/// the poison flag, and the fault plan (`None` on unperturbed runs).
+pub(crate) struct World {
+    pub(crate) registry: Registry,
+    pub(crate) poisoned: AtomicBool,
+    pub(crate) faults: Option<Arc<FaultPlan>>,
+}
+
 /// Per-rank execution context handed to the SPMD closure.
 ///
 /// Provides the rank's identity, typed point-to-point channels
@@ -97,44 +105,38 @@ impl CommWorld {
 /// same order, exactly as MPI requires.
 pub struct RankCtx {
     rank: usize,
-    ranks: usize,
-    registry: Arc<Registry>,
-    poisoned: Arc<AtomicBool>,
-    /// Per-kind invocation counters so every collective call gets a fresh,
-    /// world-agreed channel tag (SPMD same-order requirement).
-    pub(crate) collective_seq: Cell<u64>,
+    pub(crate) world: Arc<World>,
+    /// The world's one reduction tree: every tree-shaped collective sends
+    /// `(its number, boxed partial)` over this channel (see
+    /// [`crate::collectives`]). Unbounded and never faulted.
+    pub(crate) tree: Transport<(u64, Box<dyn Any + Send>)>,
+    /// Tree collectives this rank has entered.
+    pub(crate) tree_round: Cell<u64>,
+    /// `all_to_allv` calls so far: each draws a fresh, world-agreed channel
+    /// tag (SPMD same-order requirement).
+    collective_seq: Cell<u64>,
     /// Counter backing [`RankCtx::auto_tag`].
     auto_seq: Cell<u64>,
-    /// Fault plan shared by all ranks of a [`CommWorld::run_with_faults`]
-    /// world; `None` on unperturbed runs.
-    faults: Option<Arc<FaultPlan>>,
 }
 
 /// Base of the tag namespace handed out by [`RankCtx::auto_tag`].
 pub const AUTO_TAG_BASE: u64 = 1 << 40;
 
 impl RankCtx {
-    fn new(
-        rank: usize,
-        ranks: usize,
-        registry: Arc<Registry>,
-        poisoned: Arc<AtomicBool>,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Self {
+    fn new(rank: usize, world: Arc<World>) -> Self {
         Self {
             rank,
-            ranks,
-            registry,
-            poisoned,
+            tree: Transport::open(&world, rank, COLLECTIVE_TAG_BASE, None),
+            world,
+            tree_round: Cell::new(0),
             collective_seq: Cell::new(0),
             auto_seq: Cell::new(0),
-            faults,
         }
     }
 
     /// The world's fault plan, if this is a fault-injected run.
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
+        self.world.faults.as_ref()
     }
 
     /// The rank the fault plan kills while writing checkpoint `epoch` on
@@ -143,7 +145,7 @@ impl RankCtx {
     /// (the simulation's failure detector), which is what lets the
     /// checkpointed traversal agree collectively on when to restore.
     pub fn crash_victim(&self, epoch: u64, incarnation: u64) -> Option<usize> {
-        self.faults.as_ref().and_then(|p| p.crash_victim(epoch, incarnation, self.ranks))
+        self.fault_plan().and_then(|p| p.crash_victim(epoch, incarnation, self.size()))
     }
 
     /// Allocate a fresh world-agreed user channel tag. Like collectives,
@@ -165,13 +167,13 @@ impl RankCtx {
     /// Number of ranks in the world.
     #[inline]
     pub fn size(&self) -> usize {
-        self.ranks
+        self.world.registry.ranks()
     }
 
     /// True once any rank has panicked.
     #[inline]
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Relaxed)
+        self.world.poisoned.load(Ordering::Relaxed)
     }
 
     /// Panic (joining the world-wide shutdown) if a peer rank has panicked.
@@ -201,39 +203,20 @@ impl RankCtx {
         tag: u64,
         capacity: Option<usize>,
     ) -> Transport<M> {
-        assert!(
-            tag < crate::registry::RESERVED_TAG_BASE,
-            "user channel tags must be below RESERVED_TAG_BASE"
-        );
-        self.channel_internal_with(tag, capacity)
+        assert!(tag < RESERVED_TAG_BASE, "user channel tags must be below RESERVED_TAG_BASE");
+        Transport::open(&self.world, self.rank, tag, capacity)
     }
 
+    /// Open an unbounded control channel on a reserved tag.
     pub(crate) fn channel_internal<M: Send + 'static>(&self, tag: u64) -> Transport<M> {
-        self.channel_internal_with(tag, None)
+        Transport::open(&self.world, self.rank, tag, None)
     }
 
-    pub(crate) fn channel_internal_with<M: Send + 'static>(
-        &self,
-        tag: u64,
-        capacity: Option<usize>,
-    ) -> Transport<M> {
-        let set = self.registry.channel_set_with_capacity::<M>(tag, capacity);
-        let receiver = self.registry.take_receiver::<M>(tag, self.rank);
-        Transport::new(
-            self.rank,
-            self.ranks,
-            tag,
-            set,
-            receiver,
-            Arc::clone(&self.poisoned),
-            self.faults.clone(),
-        )
-    }
-
+    /// The fresh world-agreed tag of one `all_to_allv` call.
     pub(crate) fn next_collective_tag(&self) -> u64 {
         let seq = self.collective_seq.get();
         self.collective_seq.set(seq + 1);
-        crate::registry::COLLECTIVE_TAG_BASE + seq
+        COLLECTIVE_TAG_BASE + 1 + seq
     }
 }
 
@@ -294,5 +277,51 @@ mod tests {
             })
         });
         assert!(res.is_err());
+        // ... and likewise when they are parked inside a collective
+        let res = std::panic::catch_unwind(|| {
+            CommWorld::run(4, |ctx| {
+                if ctx.rank() == 2 {
+                    panic!("boom on rank 2");
+                }
+                ctx.barrier();
+            })
+        });
+        assert!(res.is_err());
+    }
+
+    /// A traversal's worth of channels — a mailbox (data plane plus its
+    /// integrity control plane) and a quiescence detector — opened, used
+    /// and dropped 200 times leaves nothing behind in the registry.
+    #[test]
+    fn channel_sets_die_with_their_transports() {
+        use crate::{Mailbox, MailboxConfig, Quiescence};
+        let p = 3;
+        CommWorld::run(p, |ctx| {
+            ctx.barrier();
+            let before = ctx.world.registry.len();
+            ctx.barrier(); // nobody opens a set while a peer still counts
+            for cycle in 0..200u64 {
+                let mut mb = Mailbox::<u64>::open(ctx, ctx.auto_tag(), MailboxConfig::default());
+                let mut q = Quiescence::new(ctx, cycle);
+                (0..p).for_each(|dst| mb.send(dst, cycle));
+                let mut got = Vec::new();
+                loop {
+                    if mb.poll(&mut got) == 0 {
+                        mb.flush();
+                        let idle = mb.pending_out() == 0;
+                        if q.poll(mb.sent_count(), mb.received_count(), idle) {
+                            break;
+                        }
+                    }
+                }
+                assert_eq!(got, vec![cycle; p]);
+            }
+            ctx.barrier();
+            assert_eq!(
+                (before, ctx.world.registry.len()),
+                (0, 0),
+                "a dropped channel set is still held"
+            );
+        });
     }
 }

@@ -1,14 +1,14 @@
 //! Typed non-blocking point-to-point transport between ranks.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::chan::{Receiver, RecvTimeoutError, TrySendError};
 use crate::fault::{FaultPlan, FaultState};
 use crate::registry::{ChannelSet, Wire, RESERVED_TAG_BASE};
-use crate::runtime::RankCtx;
+use crate::runtime::{RankCtx, World};
 use crate::stats::{ChannelStats, ChannelStatsSnapshot, Event};
 
 /// A rank's endpoint of one typed channel set: it can send to any rank and
@@ -28,7 +28,7 @@ pub struct Transport<M: Send + 'static> {
     tag: u64,
     set: Arc<ChannelSet<M>>,
     receiver: Receiver<Wire<M>>,
-    poisoned: Arc<AtomicBool>,
+    world: Arc<World>,
     /// Next sequence number for each destination. Only this rank's thread
     /// sends through this endpoint, so these are uncontended; atomics keep
     /// `send` on `&self` without interior-mutability gymnastics.
@@ -40,22 +40,18 @@ pub struct Transport<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> Transport<M> {
-    pub(crate) fn new(
-        rank: usize,
-        ranks: usize,
-        tag: u64,
-        set: Arc<ChannelSet<M>>,
-        receiver: Receiver<Wire<M>>,
-        poisoned: Arc<AtomicBool>,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Self {
-        let fault =
-            faults.filter(|p| tag < RESERVED_TAG_BASE && p.config().is_active()).map(|plan| {
-                let state = RefCell::new(FaultState::new(plan.clone(), tag, rank));
-                (plan, state)
-            });
+    /// Open `rank`'s endpoint of the channel set `(M, tag)`; see
+    /// [`Registry::open`](crate::registry::Registry::open) for the
+    /// collective contract.
+    pub(crate) fn open(world: &Arc<World>, rank: usize, tag: u64, capacity: Option<usize>) -> Self {
+        let ranks = world.registry.ranks();
+        let (set, receiver) = world.registry.open(tag, capacity, rank);
+        let faulted = |p: &&Arc<FaultPlan>| tag < RESERVED_TAG_BASE && p.config().is_active();
+        let fault = world.faults.as_ref().filter(faulted).map(|plan| {
+            (Arc::clone(plan), RefCell::new(FaultState::new(Arc::clone(plan), tag, rank)))
+        });
         let next_seq = (0..ranks).map(|_| AtomicU64::new(0)).collect();
-        Self { rank, ranks, tag, set, receiver, poisoned, next_seq, fault }
+        Self { rank, ranks, tag, set, receiver, world: Arc::clone(world), next_seq, fault }
     }
 
     #[inline]
@@ -132,7 +128,9 @@ impl<M: Send + 'static> Transport<M> {
     #[inline]
     pub fn send_counted(&self, dst: usize, msg: M, items: u64, bytes: u64) {
         debug_assert!(dst < self.ranks, "destination rank out of range");
-        self.set.stats.record(self.rank, dst, items, bytes);
+        if let Some(stats) = &self.set.stats {
+            stats.record(self.rank, dst, items, bytes);
+        }
         let seq = self.claim_seq(dst);
         // Receivers only disappear when the world is shutting down; at that
         // point delivery no longer matters.
@@ -157,11 +155,11 @@ impl<M: Send + 'static> Transport<M> {
         match self.set.senders[dst].try_send(Wire { src: self.rank as u32, seq, msg }) {
             Ok(()) => {
                 self.claim_seq(dst);
-                self.set.stats.record(self.rank, dst, items, bytes);
+                self.stats().record(self.rank, dst, items, bytes);
                 Ok(())
             }
             Err(TrySendError::Full(w)) => {
-                self.set.stats.bump(Event::Stall, self.rank, dst);
+                self.stats().bump(Event::Stall, self.rank, dst);
                 Err(TrySendError::Full(w.msg))
             }
             Err(TrySendError::Disconnected(w)) => Err(TrySendError::Disconnected(w.msg)),
@@ -194,7 +192,7 @@ impl<M: Send + 'static> Transport<M> {
     pub fn send_duplicate(&self, dst: usize, msg: M) {
         debug_assert!(dst != self.rank, "loopback frames are never duplicated");
         let seq = self.peek_seq(dst).checked_sub(1).expect("send_duplicate before any send");
-        self.set.stats.bump(Event::FaultDup, self.rank, dst);
+        self.stats().bump(Event::FaultDup, self.rank, dst);
         let _ = self.set.senders[dst].send(Wire { src: self.rank as u32, seq, msg });
     }
 
@@ -205,7 +203,7 @@ impl<M: Send + 'static> Transport<M> {
     /// matrices — so conservation invariants still hold.
     pub(crate) fn send_retransmit(&self, dst: usize, seq: u64, msg: M) {
         debug_assert!(dst != self.rank, "loopback frames are never retransmitted");
-        self.set.stats.bump(Event::Retransmit, self.rank, dst);
+        self.stats().bump(Event::Retransmit, self.rank, dst);
         let _ = self.set.senders[dst].send(Wire { src: self.rank as u32, seq, msg });
     }
 
@@ -226,7 +224,7 @@ impl<M: Send + 'static> Transport<M> {
     pub(crate) fn try_recv_wire(&self) -> Option<Wire<M>> {
         match &self.fault {
             None => self.receiver.try_recv().ok(),
-            Some((_, state)) => state.borrow_mut().try_recv(&self.receiver, &self.set.stats),
+            Some((_, state)) => state.borrow_mut().try_recv(&self.receiver, self.stats()),
         }
     }
 
@@ -250,7 +248,7 @@ impl<M: Send + 'static> Transport<M> {
             },
             Some((_, state)) => loop {
                 let mut st = state.borrow_mut();
-                if let Some(w) = st.try_recv(&self.receiver, &self.set.stats) {
+                if let Some(w) = st.try_recv(&self.receiver, self.stats()) {
                     return (w.src as usize, w.msg);
                 }
                 let pending = st.pending();
@@ -262,7 +260,7 @@ impl<M: Send + 'static> Transport<M> {
                 } else {
                     // Nothing held: sleep on the condvar until an arrival.
                     match self.receiver.recv_timeout(Duration::from_millis(20)) {
-                        Ok(w) => state.borrow_mut().ingest(w, &self.set.stats),
+                        Ok(w) => state.borrow_mut().ingest(w, self.stats()),
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => {
                             panic!("transport disconnected on rank {}", self.rank)
@@ -276,7 +274,7 @@ impl<M: Send + 'static> Transport<M> {
     /// True once any rank has panicked.
     #[inline]
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Relaxed)
+        self.world.poisoned.load(Ordering::Relaxed)
     }
 
     /// Panic (joining the world-wide shutdown) if a peer rank has panicked.
@@ -287,14 +285,16 @@ impl<M: Send + 'static> Transport<M> {
         }
     }
 
-    /// Shared traffic counters for this channel set.
+    /// Shared traffic counters for this channel set. Every channel user
+    /// code can open has them; the runtime's own control planes
+    /// (collectives, termination, integrity ACK/NACK) do not.
     pub fn stats(&self) -> &ChannelStats {
-        &self.set.stats
+        self.set.stats.as_ref().expect("control-plane channels carry no traffic matrix")
     }
 
     /// Snapshot of the traffic matrix (typically read after the SPMD region).
     pub fn stats_snapshot(&self) -> ChannelStatsSnapshot {
-        self.set.stats.snapshot()
+        self.stats().snapshot()
     }
 }
 

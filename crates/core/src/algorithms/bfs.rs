@@ -21,6 +21,36 @@ use crate::visitor::{Role, Visitor, VisitorPush};
 /// Unreached marker (the paper's `infinity`).
 pub const UNREACHED: u64 = u64::MAX;
 
+/// SplitMix64 finalizer: the mixer behind every level digest.
+#[inline]
+pub fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// One reached vertex's term of a level digest. Each term is mixed on its
+/// own, so a wrapping sum of terms is invariant under visit order, rank
+/// count and partitioning.
+#[inline]
+pub(crate) fn level_term(v: VertexId, level: u64) -> u64 {
+    mix(v.0 ^ mix(level))
+}
+
+/// This rank's share of the order-invariant digest of a BFS level array:
+/// the wrapping sum of `mix(vertex ^ mix(level))` over its reached masters
+/// (replica state is a copy), `length_of` mapping a local vertex index to
+/// its level. Sum the shares of all ranks (`all_reduce_sum`) for the world
+/// digest. It covers levels only: they are the schedule-invariant part of a
+/// BFS, parents are one valid tree among many.
+pub fn level_digest(g: &DistGraph, length_of: impl Fn(usize) -> u64) -> u64 {
+    g.local_vertices()
+        .filter(|&v| g.is_master(v))
+        .map(|v| (v, length_of(g.local_index(v))))
+        .filter(|&(_, level)| level != UNREACHED)
+        .fold(0, |digest, (v, level)| digest.wrapping_add(level_term(v, level)))
+}
+
 /// Per-vertex BFS state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BfsData {
@@ -240,24 +270,17 @@ pub(crate) fn finish_result<V>(ctx: &RankCtx, g: &DistGraph, q: VisitorQueue<V>)
 where
     V: Visitor<Data = BfsData> + WireCodec,
 {
-    // aggregate over masters only (replica state is a copy)
-    let mut visited = 0u64;
-    let mut traversed = 0u64;
-    let mut deepest = 0u64;
-    for v in g.local_vertices() {
-        if !g.is_master(v) {
-            continue;
-        }
+    // aggregate over masters only (replica state is a copy):
+    // (visited, traversed edges, deepest level)
+    let mut local = (0u64, 0u64, 0u64);
+    for v in g.local_vertices().filter(|&v| g.is_master(v)) {
         let d = &q.state()[g.local_index(v)];
         if d.length != UNREACHED {
-            visited += 1;
-            traversed += g.total_degree(v);
-            deepest = deepest.max(d.length);
+            local = (local.0 + 1, local.1 + g.total_degree(v), local.2.max(d.length));
         }
     }
-    let visited_count = ctx.all_reduce_sum(visited);
-    let traversed_edges = ctx.all_reduce_sum(traversed);
-    let max_level = ctx.all_reduce_max(deepest);
+    let (visited_count, traversed_edges, max_level) =
+        ctx.all_reduce(local, |a, b| (a.0 + b.0, a.1 + b.1, a.2.max(b.2)));
     let stats = q.stats();
     let transport = q.transport_stats();
     BfsResult {

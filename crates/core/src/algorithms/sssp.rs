@@ -184,20 +184,15 @@ pub fn sssp(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &SsspConfig) ->
     }
     q.traverse(ctx, cfg.checkpoint.as_ref());
 
-    let mut visited = 0u64;
-    let mut far = 0u64;
-    for v in g.local_vertices() {
-        if !g.is_master(v) {
-            continue;
-        }
+    // (visited, farthest distance) over masters
+    let mut local = (0u64, 0u64);
+    for v in g.local_vertices().filter(|&v| g.is_master(v)) {
         let d = &q.state()[g.local_index(v)];
         if d.distance != UNREACHED {
-            visited += 1;
-            far = far.max(d.distance);
+            local = (local.0 + 1, local.1.max(d.distance));
         }
     }
-    let visited_count = ctx.all_reduce_sum(visited);
-    let max_distance = ctx.all_reduce_max(far);
+    let (visited_count, max_distance) = ctx.all_reduce(local, |a, b| (a.0 + b.0, a.1.max(b.1)));
     let stats = q.stats();
     SsspResult {
         visited_count,

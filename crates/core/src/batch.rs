@@ -39,7 +39,7 @@ use havoq_comm::{RankCtx, WireCodec};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
 
-use crate::algorithms::bfs::{BfsData, UNREACHED};
+use crate::algorithms::bfs::{level_term, BfsData, UNREACHED};
 use crate::checkpoint::CheckpointSpec;
 use crate::queue::{TraversalConfig, TraversalStats, VisitorQueue};
 use crate::visitor::{Role, Visitor, VisitorPush};
@@ -270,6 +270,48 @@ impl<const K: usize> WireCodec for BatchBfsVisitor<K> {
     }
 }
 
+impl<const K: usize> BatchBfsVisitor<K> {
+    /// Claim every query bit that is live at this visitor's depth on
+    /// `data` — best length matches, not yet expanded, not `retired`
+    /// (cancelled / expired / aborted) — and mark it expanded. The
+    /// `expanded` gate makes each (query, vertex, depth) scan happen
+    /// exactly once no matter how many arrivals race to it, given that
+    /// callers serialize access per slot (the parallel paths hold the
+    /// slot's bit lock).
+    #[inline]
+    pub(crate) fn claim(&self, data: &mut BatchBfsData<K>, retired: u64) -> u64 {
+        let mut live = 0u64;
+        for q in 0..K {
+            if self.length == data.length[q] && data.expanded & (1 << q) == 0 {
+                live |= 1 << q;
+            }
+        }
+        live &= !retired;
+        data.expanded |= live;
+        live
+    }
+
+    /// Scan the adjacency once on behalf of the claimed queries `live`,
+    /// pushing one visitor per edge and charging the ledger.
+    pub(crate) fn expand(&self, g: &DistGraph, live: u64, out: &mut dyn VisitorPush<Self>) {
+        self.ledger.record_executed(live);
+        let mut fanout = 0u64;
+        g.with_adj(self.vertex, |adj| {
+            for &t in adj {
+                out.push(BatchBfsVisitor {
+                    vertex: VertexId(t),
+                    length: self.length + 1,
+                    parent: self.vertex.0,
+                    mask: live,
+                    ledger: Arc::clone(&self.ledger),
+                });
+                fanout += 1;
+            }
+        });
+        self.ledger.record_pushed(live, fanout);
+    }
+}
+
 impl<const K: usize> Visitor for BatchBfsVisitor<K> {
     type Data = BatchBfsData<K>;
     /// Per-query monotone min tolerates imprecise filtering exactly like
@@ -303,40 +345,14 @@ impl<const K: usize> Visitor for BatchBfsVisitor<K> {
     }
 
     /// Expand once on behalf of every query still best — and not yet
-    /// expanded — at this depth: the `live` recomputation scans *all*
-    /// query slots, not just this visitor's mask, so co-located
-    /// equal-depth queries piggyback on one adjacency scan (Alg. 2
-    /// line 13, per bit), and the `expanded` gate makes each (query,
-    /// vertex, depth) scan happen exactly once no matter how many
-    /// arrivals race to it.
+    /// expanded — at this depth: `claim` scans *all* query slots,
+    /// not just this visitor's mask, so co-located equal-depth queries
+    /// piggyback on one adjacency scan (Alg. 2 line 13, per bit).
     fn visit(&self, g: &DistGraph, data: &mut Self::Data, out: &mut dyn VisitorPush<Self>) {
-        let mut live = 0u64;
-        for q in 0..K {
-            if self.length == data.length[q] && data.expanded & (1 << q) == 0 {
-                live |= 1 << q;
-            }
+        let live = self.claim(data, self.ledger.retired_mask());
+        if live != 0 {
+            self.expand(g, live, out);
         }
-        // retired queries (cancelled / expired / aborted) never expand
-        live &= !self.ledger.retired_mask();
-        if live == 0 {
-            return;
-        }
-        data.expanded |= live;
-        self.ledger.record_executed(live);
-        let mut fanout = 0u64;
-        g.with_adj(self.vertex, |adj| {
-            for &t in adj {
-                out.push(BatchBfsVisitor {
-                    vertex: VertexId(t),
-                    length: self.length + 1,
-                    parent: self.vertex.0,
-                    mask: live,
-                    ledger: Arc::clone(&self.ledger),
-                });
-                fanout += 1;
-            }
-        });
-        self.ledger.record_pushed(live, fanout);
     }
 
     #[inline]
@@ -504,26 +520,17 @@ pub(crate) fn seeded_queue<'g, const K: usize>(
 /// Per-query results of a batched BFS that every rank agrees on.
 pub(crate) struct QueryTotals {
     pub aggregates: Vec<QueryAggregates>,
-    /// Order-invariant digest of each query's levels: sum over reached
-    /// masters of `mix(vertex ^ mix(level))` (zeros unless `DIGEST`).
+    /// Each query's [`level_digest`](crate::algorithms::bfs::level_digest)
+    /// (zeros unless `DIGEST`).
     pub digest: Vec<u64>,
     /// World sums of the per-query ledger counters.
     pub executed: Vec<u64>,
     pub pushed: Vec<u64>,
 }
 
-/// SplitMix64 finalizer: the digest mixer (order-invariant under
-/// wrapping-sum aggregation because each term is mixed independently).
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Fold the first `width` query slots of `state` over masters only
 /// (replica state is a copy) and all-reduce them with `ledger`'s per-query
-/// counters: one vector sum and one vector max, whatever the width.
+/// counters: one collective, whatever the width.
 pub(crate) fn reduce_per_query<const K: usize, const DIGEST: bool>(
     ctx: &RankCtx,
     g: &DistGraph,
@@ -542,17 +549,17 @@ pub(crate) fn reduce_per_query<const K: usize, const DIGEST: bool>(
             sums[width + qi] += deg;
             if DIGEST {
                 sums[2 * width + qi] =
-                    sums[2 * width + qi].wrapping_add(mix(v.0 ^ mix(d.length[qi])));
+                    sums[2 * width + qi].wrapping_add(level_term(v, d.length[qi]));
             }
             deepest[qi] = deepest[qi].max(d.length[qi]);
         }
     }
     sums[3 * width..4 * width].copy_from_slice(&ledger.executed[..width]);
     sums[4 * width..].copy_from_slice(&ledger.pushed[..width]);
-    let sums = ctx.all_reduce_sum_vec(sums);
-    let deepest = ctx.all_reduce(deepest, |mut a, b| {
-        a.iter_mut().zip(b).for_each(|(x, y)| *x = (*x).max(y));
-        a
+    let (sums, deepest) = ctx.all_reduce((sums, deepest), |(mut sums, mut deepest), (s, d)| {
+        sums.iter_mut().zip(s).for_each(|(x, y)| *x = x.wrapping_add(y));
+        deepest.iter_mut().zip(d).for_each(|(x, y)| *x = (*x).max(y));
+        (sums, deepest)
     });
     let column = |c: usize| sums[c * width..(c + 1) * width].to_vec();
     let aggregates = (0..width)
@@ -724,6 +731,22 @@ impl std::fmt::Display for BatchFull {
     }
 }
 
+/// Call the batched engine `$engine::<K>` at the narrowest compile-time
+/// state width K ∈ {2, 8, 16, 64} that fits `$queries`, so small batches
+/// don't pay for 64-wide per-vertex state (`serve_mem` runs on both sides
+/// of the 16 | 64 step).
+macro_rules! at_batch_width {
+    ($queries:expr, $engine:ident($($arg:expr),*)) => {
+        match $queries {
+            0..=2 => $engine::<2>($($arg),*),
+            3..=8 => $engine::<8>($($arg),*),
+            9..=16 => $engine::<16>($($arg),*),
+            _ => $engine::<64>($($arg),*),
+        }
+    };
+}
+pub(crate) use at_batch_width;
+
 /// A batch of admitted queries, run as one shared traversal.
 ///
 /// Admission is capacity-bounded ([`QueryBatch::try_admit`]); `run_bfs`
@@ -789,12 +812,7 @@ impl QueryBatch {
     /// world-agreed clocks — see the `qps_serve` bench).
     pub fn run_bfs(&mut self, ctx: &RankCtx, g: &DistGraph, cfg: &BatchConfig) -> BatchBfsResult {
         let sources = std::mem::take(&mut self.sources);
-        match sources.len() {
-            0..=2 => bfs_batch::<2>(ctx, g, &sources, cfg),
-            3..=8 => bfs_batch::<8>(ctx, g, &sources, cfg),
-            9..=16 => bfs_batch::<16>(ctx, g, &sources, cfg),
-            _ => bfs_batch::<64>(ctx, g, &sources, cfg),
-        }
+        at_batch_width!(sources.len(), bfs_batch(ctx, g, &sources, cfg))
     }
 }
 

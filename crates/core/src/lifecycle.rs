@@ -45,7 +45,7 @@ use havoq_graph::types::VertexId;
 use havoq_util::parallel::{AtomicBitVec, LockedSlots, PerWorker, WorkerPool};
 
 use crate::batch::{
-    reduce_per_query, seeded_queue, BatchBfsData, BatchBfsVisitor, BatchConfig, BatchLedger,
+    at_batch_width, reduce_per_query, seeded_queue, BatchBfsVisitor, BatchConfig, BatchLedger,
 };
 use crate::queue::{ShardPusher, Side, TraversalStats, VisitorQueue};
 use crate::visitor::Visitor;
@@ -100,10 +100,10 @@ impl QueryOutcome {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryLifecycle {
     pub outcome: QueryOutcome,
-    /// Order-invariant digest of the query's (possibly partial) BFS
-    /// levels: sum over reached masters of `mix(vertex ^ mix(level))`.
-    /// Covers levels only — parents are one valid tree, arrival-order
-    /// dependent, exactly as in the asynchronous engine.
+    /// World [`level_digest`](crate::algorithms::bfs::level_digest) of the
+    /// query's (possibly partial) BFS levels. Covers levels only — parents
+    /// are one valid tree, arrival-order dependent, exactly as in the
+    /// asynchronous engine.
     pub levels_digest: u64,
     /// Vertices this query reached (including its source), global.
     pub visited_count: u64,
@@ -138,24 +138,6 @@ pub struct LifecycleBfsResult {
     pub elapsed: Duration,
 }
 
-/// Claim every query bit that is live at `length` on this slot — best
-/// length matches, not yet expanded, not retired — and mark it expanded.
-/// Callers serialize per-slot access (bit lock in the parallel path);
-/// given that, the claimed union per (vertex, depth) is independent of
-/// visitor order because depth-`length` state is frozen during the round.
-#[inline]
-fn claim_live<const K: usize>(data: &mut BatchBfsData<K>, length: u64, retired: u64) -> u64 {
-    let mut live = 0u64;
-    for q in 0..K {
-        if data.length[q] == length && data.expanded & (1 << q) == 0 {
-            live |= 1 << q;
-        }
-    }
-    live &= !retired;
-    data.expanded |= live;
-    live
-}
-
 /// Per-worker state of the round fan-out: the staged pushes and the union
 /// of the masks this worker claimed.
 type RoundCell<'g, const K: usize> = (ShardPusher<'g, BatchBfsVisitor<K>>, u64);
@@ -175,10 +157,12 @@ struct RoundExec<'g, const K: usize> {
 /// pushes per worker and absorbing them in worker order. Returns the
 /// union of claimed masks on this rank.
 ///
-/// A claimed mask is expanded by rebuilding a seed holding exactly the
-/// claimed bits at the visitor's depth and letting the visitor's own
-/// `visit` do the ledger recording and adjacency walk, so the wire records
-/// and counters are identical in kind to the asynchronous engine's.
+/// Claiming under the slot's bit lock — with retired queries filtered —
+/// yields a claimed union per (vertex, depth) that is independent of
+/// visitor order, because depth-`d` state is frozen during round `d`. The
+/// claim and the expansion are the visitor's own
+/// ([`BatchBfsVisitor::claim`] / [`BatchBfsVisitor::expand`]), so the wire
+/// records and counters are identical in kind to the asynchronous engine's.
 fn execute_round<'g, const K: usize>(
     q: &mut VisitorQueue<'g, BatchBfsVisitor<K>>,
     g: &'g DistGraph,
@@ -194,15 +178,9 @@ fn execute_round<'g, const K: usize>(
         &mut exec.cells,
         |(sink, mask), vis| {
             let li = g.local_index(vis.vertex());
-            let live = slots.with(li, |slot| claim_live(slot, vis.length, retired));
+            let live = slots.with(li, |slot| vis.claim(slot, retired));
             if live != 0 {
-                let mut seed = BatchBfsData::<K>::default();
-                let mut m = live;
-                while m != 0 {
-                    seed.length[m.trailing_zeros() as usize] = vis.length;
-                    m &= m - 1;
-                }
-                vis.visit(g, &mut seed, sink);
+                vis.expand(g, live, sink);
                 *mask |= live;
             }
         },
@@ -382,12 +360,7 @@ pub fn run_bfs_lifecycle(
     cfg: &BatchConfig,
     cancels: &[(usize, u64)],
 ) -> LifecycleBfsResult {
-    match sources.len() {
-        0..=2 => bfs_batch_lifecycle::<2>(ctx, g, sources, cfg, cancels),
-        3..=8 => bfs_batch_lifecycle::<8>(ctx, g, sources, cfg, cancels),
-        9..=16 => bfs_batch_lifecycle::<16>(ctx, g, sources, cfg, cancels),
-        _ => bfs_batch_lifecycle::<64>(ctx, g, sources, cfg, cancels),
-    }
+    at_batch_width!(sources.len(), bfs_batch_lifecycle(ctx, g, sources, cfg, cancels))
 }
 
 #[cfg(test)]
