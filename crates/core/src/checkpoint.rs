@@ -20,7 +20,9 @@
 //!
 //! Every section is length-prefixed and [`QueueCheckpoint::decode`]
 //! verifies the buffer is consumed exactly, so truncated or padded blobs
-//! are rejected even when the store-level checksum is not consulted.
+//! are rejected even when the store-level checksum is not consulted; a
+//! count larger than the bytes left could hold is rejected as truncated
+//! before it sizes an allocation.
 
 use havoq_comm::WireCodec;
 use havoq_nvram::{BlockDevice, IoConfig, MemDevice, PageCache, PageCacheConfig};
@@ -145,7 +147,8 @@ pub struct QueueCounters {
 pub struct QueueCheckpoint<V: Visitor + WireCodec> {
     /// Per-vertex algorithm state, indexed by local vertex index.
     pub state: Vec<V::Data>,
-    /// Ghost slot contents, sorted by vertex id.
+    /// Ghost slot contents — hub slots and occupied filter slots — sorted
+    /// by vertex id.
     pub ghosts: Vec<(u64, V::Data)>,
     /// Parked frontier: heap visitors with their tie-break keys.
     pub heap: Vec<(V, u64)>,
@@ -173,6 +176,18 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self) -> Result<u64, BlobError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// A section's record count, for records of `size` bytes: a count the
+    /// remaining bytes cannot hold is a damaged blob, rejected before it
+    /// sizes an allocation.
+    fn count(&mut self, size: usize) -> Result<usize, BlobError> {
+        let n = self.u64()?;
+        let fits = (self.buf.len() - self.pos).checked_div(size).unwrap_or(usize::MAX);
+        if n > fits as u64 {
+            return Err(BlobError::Truncated);
+        }
+        Ok(n as usize)
     }
 }
 
@@ -235,27 +250,28 @@ where
     /// Decode a blob, consuming the buffer exactly. `ctx` is the visitor
     /// wire decode context (the same one the traversal's mailbox uses).
     pub fn decode(bytes: &[u8], ctx: &V::DecodeCtx) -> Result<Self, BlobError> {
+        let data_size = <V::Data as WireCodec>::WIRE_SIZE;
         let mut r = Reader { buf: bytes, pos: 0 };
-        let n = r.u64()? as usize;
+        let n = r.count(data_size)?;
         let mut state = Vec::with_capacity(n);
         for _ in 0..n {
-            state.push(<V::Data>::decode(r.take(<V::Data as WireCodec>::WIRE_SIZE)?, &()));
+            state.push(<V::Data>::decode(r.take(data_size)?, &()));
         }
-        let n = r.u64()? as usize;
+        let n = r.count(8 + data_size)?;
         let mut ghosts = Vec::with_capacity(n);
         for _ in 0..n {
             let v = r.u64()?;
-            let d = <V::Data>::decode(r.take(<V::Data as WireCodec>::WIRE_SIZE)?, &());
+            let d = <V::Data>::decode(r.take(data_size)?, &());
             ghosts.push((v, d));
         }
-        let n = r.u64()? as usize;
+        let n = r.count(V::WIRE_SIZE + 8)?;
         let mut heap = Vec::with_capacity(n);
         for _ in 0..n {
             let vis = V::decode(r.take(V::WIRE_SIZE)?, ctx);
             let tie = r.u64()?;
             heap.push((vis, tie));
         }
-        let n = r.u64()? as usize;
+        let n = r.count(8)?;
         let mut wire_seqs = Vec::with_capacity(n);
         for _ in 0..n {
             wire_seqs.push(r.u64()?);
@@ -344,6 +360,33 @@ mod tests {
                 Some(BlobError::Truncated),
                 "prefix of {cut} bytes must be rejected"
             );
+        }
+    }
+
+    /// A damaged count field is a decode error, not an allocation of its
+    /// size: each of the four section counts, set far past what the blob
+    /// holds, reads as truncated.
+    #[test]
+    fn oversized_counts_are_rejected() {
+        let ck = sample();
+        let bytes = ck.encode();
+        let data = <BfsData as WireCodec>::WIRE_SIZE;
+        let ghosts_at = 8 + ck.state.len() * data;
+        let heap_at = ghosts_at + 8 + ck.ghosts.len() * (8 + data);
+        let seqs_at = heap_at + 8 + ck.heap.len() * (BfsVisitor::WIRE_SIZE + 8);
+        let lens = [ck.state.len(), ck.ghosts.len(), ck.heap.len(), ck.wire_seqs.len()];
+        for (at, len) in [0, ghosts_at, heap_at, seqs_at].into_iter().zip(lens) {
+            let declared = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            assert_eq!(declared, len as u64, "offset {at} is a count field");
+            for bad in [u64::MAX, 1 << 40] {
+                let mut damaged = bytes.clone();
+                damaged[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(
+                    QueueCheckpoint::<BfsVisitor>::decode(&damaged, &()).err(),
+                    Some(BlobError::Truncated),
+                    "count {bad} at offset {at}"
+                );
+            }
         }
     }
 

@@ -54,7 +54,9 @@ const POLL_BATCH: usize = 128;
 #[derive(Clone, Copy, Debug)]
 pub struct TraversalConfig {
     /// Ghost slots per partition (paper default: 256; Figure 13 sweeps
-    /// this). Ignored for algorithms with `GHOSTS_ALLOWED = false`.
+    /// this). Ignored for algorithms with `GHOSTS_ALLOWED = false`. Any
+    /// value above 0 also puts the per-vertex filter behind the hub slots
+    /// (see [`crate::ghost`]); 0 turns both off.
     pub ghosts: usize,
     /// Mailbox aggregation / routing configuration.
     pub mailbox: MailboxConfig,
@@ -110,7 +112,8 @@ pub struct TraversalStats {
     pub visitors_executed: u64,
     /// Visitors pushed on this rank (before ghost filtering).
     pub visitors_pushed: u64,
-    /// Pushes that were checked against a local ghost slot.
+    /// Pushes that were checked against a local ghost slot — a hub's or
+    /// the filter's, so every push once the filter is on.
     pub ghost_checked: u64,
     /// Pushes suppressed by the ghost filter (communication saved).
     pub ghost_filtered: u64,
@@ -305,11 +308,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         let tag = ctx.auto_tag();
         let mailbox = Mailbox::open_with(ctx, tag, cfg.mailbox, decode_ctx.clone());
         let quiescence = Quiescence::new(ctx, tag);
-        let ghosts = if V::GHOSTS_ALLOWED && cfg.ghosts > 0 {
-            GhostTable::select(g, cfg.ghosts)
-        } else {
-            GhostTable::empty()
-        };
+        let ghosts = GhostTable::for_visitor::<V>(g, cfg.ghosts);
         let state = vec![V::Data::default(); g.num_local_vertices()];
         Self {
             g,
@@ -348,7 +347,8 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         self.state
     }
 
-    /// Number of ghost slots active for this traversal.
+    /// Number of hub ghost slots active for this traversal (the filter
+    /// behind them is not counted).
     pub fn ghost_count(&self) -> usize {
         self.ghosts.len()
     }
@@ -1364,6 +1364,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// On one rank the filter covers every vertex of a small graph and its
+    /// slot sees exactly the pushes the owner's state does, so every
+    /// payload it lets through is executed — and nothing else moves: state
+    /// and the executed/pushed counts equal the run without ghosts.
+    #[test]
+    fn one_rank_filter_sends_only_what_executes() {
+        use crate::algorithms::bfs::{bfs, BfsConfig};
+        use crate::algorithms::cc::{connected_components, CcConfig};
+        let edges = RmatGenerator::graph500(9).symmetric_edges(31);
+        let run = |ghosts: usize| {
+            CommWorld::run(1, |ctx| {
+                let g = DistGraph::build_replicated(
+                    ctx,
+                    &edges,
+                    PartitionStrategy::EdgeList,
+                    GraphConfig::default(),
+                );
+                let traversal = TraversalConfig { ghosts, ..Default::default() };
+                let b = bfs(ctx, &g, VertexId(0), &BfsConfig { traversal, checkpoint: None });
+                let c = connected_components(ctx, &g, &CcConfig { traversal, checkpoint: None });
+                (b.stats, b.local_state, c.stats, c.local_state)
+            })
+            .pop()
+            .unwrap()
+        };
+        let (bfs_on, levels_on, cc_on, labels_on) = run(TraversalConfig::default().ghosts);
+        let (bfs_off, levels_off, cc_off, labels_off) = run(0);
+        for (name, on, off) in [("bfs", bfs_on, bfs_off), ("cc", cc_on, cc_off)] {
+            assert_eq!(on.payload_sent, on.visitors_executed, "{name}");
+            assert_eq!(on.visitors_executed, off.visitors_executed, "{name}");
+            assert_eq!(on.visitors_pushed, off.visitors_pushed, "{name}");
+            assert_eq!(on.ghost_checked, on.visitors_pushed, "{name}: every push is checked");
+            assert!(off.payload_sent > on.payload_sent, "{name}: the filter drops pushes");
+        }
+        assert_eq!(levels_on, levels_off);
+        assert_eq!(labels_on, labels_off);
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn main() {
     let s = &r0.stats;
     println!("visitors pushed:    {}", s.visitors_pushed);
     println!("visitors executed:  {}", s.visitors_executed);
-    println!("ghost-filtered:     {} (hub traffic that never hit the network)", s.ghost_filtered);
+    println!("ghost-filtered:     {} (pushes that never reached the mailbox)", s.ghost_filtered);
     println!("replica forwards:   {}", s.replica_forwards);
     println!("termination waves:  {}", s.termination_waves);
 }

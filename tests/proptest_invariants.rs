@@ -25,6 +25,34 @@ fn arb_graph(rng: &mut TestRng) -> (u64, Vec<Edge>) {
     (n, es)
 }
 
+/// Serial frontier BFS levels from `source` over `n` vertices.
+fn serial_bfs_levels(n: u64, edges: &[Edge], source: u64) -> Vec<u64> {
+    let mut adj = vec![Vec::new(); n as usize];
+    for e in edges {
+        if !e.is_self_loop() {
+            adj[e.src as usize].push(e.dst);
+        }
+    }
+    let mut want = vec![UNREACHED; n as usize];
+    want[source as usize] = 0;
+    let mut frontier = vec![source];
+    let mut l = 0;
+    while !frontier.is_empty() {
+        l += 1;
+        let mut next = Vec::new();
+        for &v in &frontier {
+            for &t in &adj[v as usize] {
+                if want[t as usize] == UNREACHED {
+                    want[t as usize] = l;
+                    next.push(t);
+                }
+            }
+        }
+        frontier = next;
+    }
+    want
+}
+
 #[test]
 fn permutation_is_a_bijection() {
     run_cases(24, |rng: &mut TestRng| {
@@ -97,30 +125,7 @@ fn distributed_bfs_equals_serial_bfs() {
         let p = rng.range_usize(1, 6);
         let source = rng.below(n);
         let ghosts = rng.range_usize(0, 32);
-        // serial reference
-        let mut adj = vec![Vec::new(); n as usize];
-        for e in &edges {
-            if !e.is_self_loop() {
-                adj[e.src as usize].push(e.dst);
-            }
-        }
-        let mut want = vec![UNREACHED; n as usize];
-        want[source as usize] = 0;
-        let mut frontier = vec![source];
-        let mut l = 0;
-        while !frontier.is_empty() {
-            l += 1;
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &t in &adj[v as usize] {
-                    if want[t as usize] == UNREACHED {
-                        want[t as usize] = l;
-                        next.push(t);
-                    }
-                }
-            }
-            frontier = next;
-        }
+        let want = serial_bfs_levels(n, &edges, source);
         // distributed
         let pieces = CommWorld::run(p, |ctx| {
             let g = DistGraph::build_replicated(
@@ -141,6 +146,98 @@ fn distributed_bfs_equals_serial_bfs() {
             got[v as usize] = lvl;
         }
         assert_eq!(got, want);
+    });
+}
+
+/// The per-vertex ghost filter is on in every default-config traversal of
+/// a ghost-safe visitor whose state fits its record. With it, BFS levels,
+/// CC labels and SSSP distances equal the serial references at p ∈
+/// {1, 2, 3}. Half the cases move odd vertex ids up by 2^17, so pairs of
+/// live vertices share a filter slot (the 2 MiB budget caps BFS and SSSP
+/// at 2^16 slots, CC at 2^17) and every traversal goes through slot
+/// takeovers.
+#[test]
+fn ghost_filtered_traversals_match_serial_references() {
+    use havoq_core::algorithms::sssp::edge_weight;
+    const SPREAD: u64 = 1 << 17;
+    run_cases(10, |rng: &mut TestRng| {
+        let (n, edges) = arb_graph(rng);
+        let (n, edges) = if rng.bool() {
+            let spread = |v: u64| v / 2 + (v % 2) * SPREAD;
+            let edges = edges.iter().map(|e| Edge::new(spread(e.src), spread(e.dst))).collect();
+            (SPREAD + n.div_ceil(2), edges)
+        } else {
+            (n, edges)
+        };
+        let live: Vec<u64> = edges.iter().map(|e| e.src).collect();
+        let source = if live.is_empty() { 0 } else { live[rng.range_usize(0, live.len())] };
+        let cfg = SsspConfig::default();
+        // serial references: BFS levels, min-id component labels, Dijkstra
+        let levels = serial_bfs_levels(n, &edges, source);
+        let mut label: Vec<u64> = (0..n).collect();
+        loop {
+            let mut changed = false;
+            for e in &edges {
+                let low = label[e.src as usize].min(label[e.dst as usize]);
+                for v in [e.src, e.dst] {
+                    changed |= std::mem::replace(&mut label[v as usize], low) != low;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let mut dist = vec![UNREACHED; n as usize];
+        dist[source as usize] = 0;
+        let mut heap = std::collections::BinaryHeap::from([std::cmp::Reverse((0u64, source))]);
+        while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
+            if d > dist[v as usize] {
+                continue;
+            }
+            for e in edges.iter().filter(|e| e.src == v && !e.is_self_loop()) {
+                let nd = d + edge_weight(v, e.dst, cfg.max_weight);
+                if nd < dist[e.dst as usize] {
+                    dist[e.dst as usize] = nd;
+                    heap.push(std::cmp::Reverse((nd, e.dst)));
+                }
+            }
+        }
+        for p in 1..=3 {
+            let pieces = CommWorld::run(p, |ctx| {
+                let g = DistGraph::build_replicated(
+                    ctx,
+                    &edges,
+                    PartitionStrategy::EdgeList,
+                    GraphConfig::default().with_num_vertices(n),
+                );
+                let b = bfs(ctx, &g, VertexId(source), &BfsConfig::default());
+                let c = connected_components(ctx, &g, &CcConfig::default());
+                let s = sssp(ctx, &g, VertexId(source), &cfg);
+                let checked = ctx.all_reduce_sum(c.stats.ghost_checked);
+                let pushed = ctx.all_reduce_sum(c.stats.visitors_pushed);
+                assert_eq!(checked, pushed, "the filter checks every push");
+                g.local_vertices()
+                    .filter(|&v| g.is_master(v))
+                    .map(|v| {
+                        let li = g.local_index(v);
+                        let state = [
+                            b.local_state[li].length,
+                            c.local_state[li].component,
+                            s.local_state[li].distance,
+                        ];
+                        (v.0, state)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let mut got = vec![[UNREACHED; 3]; n as usize];
+            for (v, state) in pieces.into_iter().flatten() {
+                got[v as usize] = state;
+            }
+            for (v, state) in got.iter().enumerate() {
+                let want = [levels[v], label[v], dist[v]];
+                assert_eq!(*state, want, "p={p} n={n} vertex {v}: [bfs, cc, sssp]");
+            }
+        }
     });
 }
 
@@ -167,30 +264,7 @@ fn checkpointed_bfs_survives_random_crash_schedules() {
         if rng.bool() {
             faults = faults.with_delay(200, 6).with_reorder(200, 4).with_duplicate(80);
         }
-        // serial reference
-        let mut adj = vec![Vec::new(); n as usize];
-        for e in &edges {
-            if !e.is_self_loop() {
-                adj[e.src as usize].push(e.dst);
-            }
-        }
-        let mut want = vec![UNREACHED; n as usize];
-        want[source as usize] = 0;
-        let mut frontier = vec![source];
-        let mut l = 0;
-        while !frontier.is_empty() {
-            l += 1;
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &t in &adj[v as usize] {
-                    if want[t as usize] == UNREACHED {
-                        want[t as usize] = l;
-                        next.push(t);
-                    }
-                }
-            }
-            frontier = next;
-        }
+        let want = serial_bfs_levels(n, &edges, source);
         // distributed, checkpointing every few visitors so small runs
         // still cross several crash-eligible epochs
         let pieces = CommWorld::run_with_faults(p, Some(faults), |ctx| {
@@ -264,35 +338,8 @@ fn batched_bfs_matches_serial_reference_on_random_query_sets() {
             _ => (None, None),
         };
         // serial frontier reference per query
-        let mut adj = vec![Vec::new(); n as usize];
-        for e in &edges {
-            if !e.is_self_loop() {
-                adj[e.src as usize].push(e.dst);
-            }
-        }
-        let want: Vec<Vec<u64>> = sources
-            .iter()
-            .map(|s| {
-                let mut lv = vec![UNREACHED; n as usize];
-                lv[s.0 as usize] = 0;
-                let mut frontier = vec![s.0];
-                let mut l = 0;
-                while !frontier.is_empty() {
-                    l += 1;
-                    let mut next = Vec::new();
-                    for &v in &frontier {
-                        for &t in &adj[v as usize] {
-                            if lv[t as usize] == UNREACHED {
-                                lv[t as usize] = l;
-                                next.push(t);
-                            }
-                        }
-                    }
-                    frontier = next;
-                }
-                lv
-            })
-            .collect();
+        let want: Vec<Vec<u64>> =
+            sources.iter().map(|s| serial_bfs_levels(n, &edges, s.0)).collect();
         // batched distributed run, all queries through one traversal
         let pieces = CommWorld::run_with_faults(p, faults, |ctx| {
             let g = DistGraph::build_replicated(
