@@ -23,6 +23,8 @@
 //! aggregate key throughput speedup of the batched pass is reported.
 
 use havoq_bench::{csv_row, overhead_pct, pick, Experiment};
+use std::time::Duration;
+
 use havoq_comm::{CommWorld, Event, EventCounts, FaultConfig, RankCtx};
 use havoq_core::algorithms::bfs::{bfs, level_digest, BfsConfig};
 use havoq_core::algorithms::validate::validate_bfs;
@@ -32,6 +34,7 @@ use havoq_core::CheckpointSpec;
 use havoq_graph::csr::GraphConfig;
 use havoq_graph::dist::{DistGraph, PartitionStrategy};
 use havoq_graph::gen::rmat::RmatGenerator;
+use havoq_graph::types::VertexId;
 
 fn main() {
     match (havoq_bench::batch(), havoq_bench::direction()) {
@@ -54,9 +57,42 @@ fn world_elapsed(ctx: &RankCtx, local: std::time::Duration) -> f64 {
     ctx.all_reduce_max(local.as_nanos() as u64) as f64 / 1e9
 }
 
-/// The `--batch K` mode: sequential per-key pass, then the batched
-/// multi-source pass over the same keys, bit-identical results asserted,
-/// aggregate speedup reported.
+/// Announce the checkpoint and fault knobs, build the RMAT graph on
+/// `ranks` ranks (under the lossy chaos plan when `--faults` is set), and
+/// run `f` on every rank with the graph, its construction time and
+/// `num_keys` search keys.
+fn run_world<R: Send>(
+    scale: u32,
+    ranks: usize,
+    num_keys: usize,
+    f: impl Fn(&RankCtx, &DistGraph, Duration, &[VertexId]) -> R + Sync,
+) -> Vec<R> {
+    if let Some(e) = havoq_bench::checkpoint_every() {
+        println!("checkpointing every {e} visitors/rank into the NVRAM store");
+    }
+    let fault_seed = havoq_bench::faults();
+    if let Some(s) = fault_seed {
+        println!(
+            "fault injection: lossy chaos plan, seed {s:#x} \
+             (frame corruption + loss healed by CRC + NACK/retransmit)"
+        );
+    }
+    let gen = RmatGenerator::graph500(scale);
+    CommWorld::run_with_faults(ranks, fault_seed.map(FaultConfig::lossy), |ctx| {
+        let t0 = std::time::Instant::now();
+        let mut local = gen.edges_for_rank(42, ctx.rank(), ctx.size());
+        local.extend(local.clone().iter().filter(|e| !e.is_self_loop()).map(|e| e.reversed()));
+        let g = DistGraph::build(ctx, local, PartitionStrategy::EdgeList, GraphConfig::default());
+        ctx.barrier();
+        let construction = t0.elapsed();
+        // distinct nonzero-degree search keys, agreed on by every rank;
+        // fails loudly if the graph cannot supply `num_keys` of them
+        let keys = havoq_bench::select_search_keys(ctx, &g, num_keys)
+            .unwrap_or_else(|e| panic!("search-key selection failed: {e}"));
+        f(ctx, &g, construction, &keys)
+    })
+}
+
 /// The report line for the integrity machinery's world totals: injected
 /// corruption/loss and the repair traffic that healed it.
 fn integrity_note(over: &str, e: &EventCounts, validated: &str) -> String {
@@ -70,55 +106,40 @@ fn integrity_note(over: &str, e: &EventCounts, validated: &str) -> String {
     )
 }
 
+/// The `--batch K` mode: sequential per-key pass, then the batched
+/// multi-source pass over the same keys, bit-identical results asserted,
+/// aggregate speedup reported.
 fn run_batched(k: usize) {
     let k = k.clamp(1, MAX_BATCH);
     let scale: u32 = pick(9, 12);
     let ranks: usize = pick(2, 4);
     let num_keys: usize = pick(8, 64);
     let threads = havoq_bench::threads().unwrap_or(1).max(1);
-    let ckpt_every = havoq_bench::checkpoint_every();
-    let fault_seed = havoq_bench::faults();
+    let spec = havoq_bench::checkpoint_every().map(|e| CheckpointSpec::default().with_every(e));
 
     println!(
         "Graph500 batched mode: RMAT scale {scale}, {ranks} ranks, {num_keys} keys, \
          batch width {k}, {threads} worker thread(s)/rank"
     );
-    if let Some(e) = ckpt_every {
-        println!("checkpointing every {e} visitors/rank into the NVRAM store");
-    }
-    if let Some(s) = fault_seed {
-        println!("fault injection: lossy chaos plan, seed {s:#x}");
-    }
-    let gen = RmatGenerator::graph500(scale);
-
-    let results = CommWorld::run_with_faults(ranks, fault_seed.map(FaultConfig::lossy), |ctx| {
-        let mut local = gen.edges_for_rank(42, ctx.rank(), ctx.size());
-        local.extend(local.clone().iter().filter(|e| !e.is_self_loop()).map(|e| e.reversed()));
-        let g = DistGraph::build(ctx, local, PartitionStrategy::EdgeList, GraphConfig::default());
-        ctx.barrier();
-
-        let keys = havoq_bench::select_search_keys(ctx, &g, num_keys, havoq_bench::SEARCH_KEY_SEED);
-
-        let spec = ckpt_every.map(|e| CheckpointSpec::default().with_every(e));
-
+    let results = run_world(scale, ranks, num_keys, |ctx, g, _, keys| {
         // --- sequential reference pass: one traversal per key ---
         // only the traversals are timed; validation and fingerprinting are
         // equivalence checks, not part of either pass's served throughput
         let mut events = EventCounts::default();
         let mut serial_local = std::time::Duration::ZERO;
         let mut serial = Vec::new(); // (visited, traversed, max_level, level_fp)
-        for &key in &keys {
+        for &key in keys {
             let mut bcfg = BfsConfig::default();
             bcfg.traversal.threads = threads;
             if let Some(s) = spec {
                 bcfg = bcfg.with_checkpoint(s);
             }
             let t = std::time::Instant::now();
-            let r = bfs(ctx, &g, key, &bcfg);
+            let r = bfs(ctx, g, key, &bcfg);
             serial_local += t.elapsed();
-            let report = validate_bfs(ctx, &g, key, &r.local_state);
+            let report = validate_bfs(ctx, g, key, &r.local_state);
             assert!(report.is_valid(), "sequential tree for key {key:?} invalid: {report:?}");
-            let fp = level_fingerprint(ctx, &g, |li| r.local_state[li].length);
+            let fp = level_fingerprint(ctx, g, |li| r.local_state[li].length);
             serial.push((r.visited_count, r.traversed_edges, r.max_level, fp));
             events += r.stats.events;
         }
@@ -138,7 +159,7 @@ fn run_batched(k: usize) {
                 bc = bc.with_checkpoint(s);
             }
             let tc = std::time::Instant::now();
-            let res = qb.run_bfs(ctx, &g, &bc);
+            let res = qb.run_bfs(ctx, g, &bc);
             let chunk_elapsed = tc.elapsed();
             batched_local += chunk_elapsed;
             let chunk_secs = world_elapsed(ctx, chunk_elapsed);
@@ -146,9 +167,9 @@ fn run_batched(k: usize) {
             let mut traversed_sum = 0u64;
             for (qi, &key) in chunk.iter().enumerate() {
                 let agg = &res.per_query[qi];
-                let report = validate_bfs(ctx, &g, key, &res.local_state[qi]);
+                let report = validate_bfs(ctx, g, key, &res.local_state[qi]);
                 assert!(report.is_valid(), "batched tree for key {key:?} invalid: {report:?}");
-                let fp = level_fingerprint(ctx, &g, |li| res.local_state[qi][li].length);
+                let fp = level_fingerprint(ctx, g, |li| res.local_state[qi][li].length);
                 batched.push((agg.visited_count, agg.traversed_edges, agg.max_level, fp));
                 traversed_sum += agg.traversed_edges;
             }
@@ -158,7 +179,7 @@ fn run_batched(k: usize) {
         let batched_secs = world_elapsed(ctx, batched_local);
 
         let events = ctx.all_reduce_events(events);
-        (keys, serial, batched, serial_secs, batched_secs, chunk_rows, events)
+        (keys.to_vec(), serial, batched, serial_secs, batched_secs, chunk_rows, events)
     });
 
     let (keys, serial, batched, serial_secs, batched_secs, chunk_rows, events) = &results[0];
@@ -181,14 +202,10 @@ fn run_batched(k: usize) {
         )],
         "graph500_batch.csv",
         &["chunk", "width", "time_ms", "agg_MTEPS"],
-        &["chunk", "width", "time_ms", "agg_mteps"],
     );
     for (i, (width, secs, traversed)) in chunk_rows.iter().enumerate() {
         let mteps = *traversed as f64 / secs.max(1e-12) / 1e6;
-        exp.row2(
-            &csv_row![i, width, format!("{:.2}", secs * 1e3), format!("{mteps:.2}")],
-            &csv_row![i, width, secs * 1e3, mteps],
-        );
+        exp.row(&csv_row![i, width, format!("{:.3}", secs * 1e3), format!("{mteps:.3}")]);
     }
 
     // aggregate key throughput: keys per second over the whole pass
@@ -209,8 +226,7 @@ fn run_batched(k: usize) {
         format!("aggregate key-throughput speedup: {speedup:.2}x"),
         integrity_note("both passes", events, "every tree validated"),
     ];
-    let note_refs: Vec<&str> = notes.iter().map(String::as_str).collect();
-    exp.finish(&note_refs);
+    exp.finish(&notes);
     if speedup < 2.0 {
         println!(
             "WARNING: batched speedup {speedup:.2}x below the 2x target \
@@ -229,47 +245,29 @@ fn run_direction_compare(mode: DirectionMode) {
     let ranks: usize = pick(2, 4);
     let num_keys: usize = pick(3, 8);
     let threads = havoq_bench::threads().unwrap_or(1).max(1);
-    let fault_seed = havoq_bench::faults();
     let ckpt_every = havoq_bench::checkpoint_every();
 
     println!(
         "Graph500 direction mode: {mode:?} vs forced top-down, RMAT scale {scale}, \
          {ranks} ranks, {num_keys} search keys, {threads} worker thread(s)/rank"
     );
-    if let Some(e) = ckpt_every {
-        println!("checkpointing every {e} visitors/rank into the NVRAM store");
-    }
-    if let Some(s) = fault_seed {
-        println!("fault injection: lossy chaos plan, seed {s:#x}");
-    }
-    let gen = RmatGenerator::graph500(scale);
-
-    let results = CommWorld::run_with_faults(ranks, fault_seed.map(FaultConfig::lossy), |ctx| {
-        let t0 = std::time::Instant::now();
-        let mut local = gen.edges_for_rank(42, ctx.rank(), ctx.size());
-        local.extend(local.clone().iter().filter(|e| !e.is_self_loop()).map(|e| e.reversed()));
-        let g = DistGraph::build(ctx, local, PartitionStrategy::EdgeList, GraphConfig::default());
-        ctx.barrier();
-        let construction = t0.elapsed();
-
-        let keys = havoq_bench::select_search_keys(ctx, &g, num_keys, havoq_bench::SEARCH_KEY_SEED);
-
+    let results = run_world(scale, ranks, num_keys, |ctx, g, construction, keys| {
         let run_one = |key, m: DirectionMode| {
             let mut cfg = BfsConfig::default().with_direction(m).with_threads(threads);
             if let Some(every) = ckpt_every {
                 cfg = cfg.with_checkpoint(CheckpointSpec::default().with_every(every));
             }
             let t = std::time::Instant::now();
-            let run = direction_bfs(ctx, &g, key, &cfg);
+            let run = direction_bfs(ctx, g, key, &cfg);
             let secs = world_elapsed(ctx, t.elapsed());
-            let report = validate_bfs(ctx, &g, key, &run.result.local_state);
+            let report = validate_bfs(ctx, g, key, &run.result.local_state);
             assert!(report.is_valid(), "{m:?} tree for key {key:?} invalid: {report:?}");
-            let fp = level_fingerprint(ctx, &g, |li| run.result.local_state[li].length);
+            let fp = level_fingerprint(ctx, g, |li| run.result.local_state[li].length);
             (fp, run.edges_inspected, run.result.traversed_edges, secs, run.trace)
         };
 
         let mut rows = Vec::new();
-        for &key in &keys {
+        for &key in keys {
             let (top_fp, top_insp, top_trav, top_secs, _) = run_one(key, DirectionMode::TopDown);
             let (fp, insp, trav, secs, trace) = run_one(key, mode);
             // the in-binary equivalence gate: identical level arrays
@@ -288,15 +286,6 @@ fn run_direction_compare(mode: DirectionMode) {
         &[&format!("construction time: {construction:?} (built once, reused for every BFS)")],
         "graph500_direction.csv",
         &["key", "top_insp", "mode_insp", "insp_ratio", "top_MTEPS", "mode_MTEPS", "sched"],
-        &[
-            "key",
-            "top_inspected",
-            "mode_inspected",
-            "inspection_ratio",
-            "top_mteps",
-            "mode_mteps",
-            "schedule",
-        ],
     );
     let mut top_total = 0u64;
     let mut mode_total = 0u64;
@@ -308,18 +297,9 @@ fn run_direction_compare(mode: DirectionMode) {
         let mode_mteps = *trav as f64 / secs.max(1e-12) / 1e6;
         let sched: String =
             trace.iter().map(|t| if t.dir.label() == "top" { 'T' } else { 'B' }).collect();
-        exp.row2(
-            &csv_row![
-                key,
-                top_insp,
-                insp,
-                format!("{ratio:.2}x"),
-                format!("{top_mteps:.2}"),
-                format!("{mode_mteps:.2}"),
-                sched
-            ],
-            &csv_row![key, top_insp, insp, ratio, top_mteps, mode_mteps, sched],
-        );
+        let (ratio, top_mteps, mode_mteps) =
+            (format!("{ratio:.3}"), format!("{top_mteps:.3}"), format!("{mode_mteps:.3}"));
+        exp.row(&csv_row![key, top_insp, insp, ratio, top_mteps, mode_mteps, sched]);
     }
 
     // per-level direction traces: the dir=top|bottom column per key
@@ -355,8 +335,7 @@ fn run_direction_compare(mode: DirectionMode) {
          key (asserted in-binary)"
             .to_string(),
     ];
-    let note_refs: Vec<&str> = notes.iter().map(String::as_str).collect();
-    exp.finish(&note_refs);
+    exp.finish(&notes);
 
     // the acceptance gate: at Graph500 submission scale the heuristic must
     // cut edge inspections at least 3x on the RMAT workload
@@ -375,40 +354,16 @@ fn run_thread_sweep() {
     let ranks: usize = pick(2, 8);
     let num_keys: usize = pick(4, 16); // official runs use 64
     let ckpt_every = havoq_bench::checkpoint_every();
-    let fault_seed = havoq_bench::faults();
-    let thread_counts: Vec<usize> = match havoq_bench::threads() {
+    let tcs: Vec<usize> = match havoq_bench::threads() {
         Some(n) => vec![n.max(1)],
         None => vec![1, 2, 4],
     };
 
     println!("Graph500-style run: RMAT scale {scale}, {ranks} ranks, {num_keys} search keys");
-    println!("intra-rank worker threads swept over {thread_counts:?} (same graph, same keys)");
-    if let Some(e) = ckpt_every {
-        println!("checkpointing every {e} visitors/rank into the NVRAM store");
-    }
-    if let Some(s) = fault_seed {
-        println!(
-            "fault injection: lossy chaos plan, seed {s:#x} \
-             (frame corruption + loss healed by CRC + NACK/retransmit)"
-        );
-    }
-    let gen = RmatGenerator::graph500(scale);
-    let tcs = thread_counts.clone();
-
-    let results = CommWorld::run_with_faults(ranks, fault_seed.map(FaultConfig::lossy), |ctx| {
-        let t0 = std::time::Instant::now();
-        let mut local = gen.edges_for_rank(42, ctx.rank(), ctx.size());
-        local.extend(local.clone().iter().filter(|e| !e.is_self_loop()).map(|e| e.reversed()));
-        let g = DistGraph::build(ctx, local, PartitionStrategy::EdgeList, GraphConfig::default());
-        ctx.barrier();
-        let construction = t0.elapsed();
-
-        // distinct nonzero-degree search keys, agreed on by every rank;
-        // fails loudly if the graph cannot supply `num_keys` of them
-        let keys = havoq_bench::select_search_keys(ctx, &g, num_keys, havoq_bench::SEARCH_KEY_SEED);
-
+    println!("intra-rank worker threads swept over {tcs:?} (same graph, same keys)");
+    let results = run_world(scale, ranks, num_keys, |ctx, g, construction, keys| {
         let mut runs = Vec::new();
-        for &key in &keys {
+        for &key in keys {
             // the built graph is shared by every thread count for this key
             for &threads in &tcs {
                 let mut bcfg = BfsConfig::default();
@@ -416,8 +371,8 @@ fn run_thread_sweep() {
                 if let Some(every) = ckpt_every {
                     bcfg = bcfg.with_checkpoint(CheckpointSpec::default().with_every(every));
                 }
-                let r = bfs(ctx, &g, key, &bcfg);
-                let report = validate_bfs(ctx, &g, key, &r.local_state);
+                let r = bfs(ctx, g, key, &bcfg);
+                let report = validate_bfs(ctx, g, key, &r.local_state);
                 let wire_bytes = ctx.all_reduce_sum(r.stats.bytes_sent);
                 // world totals of the event table for this run: injected
                 // corruption/loss and the repair traffic that healed it
@@ -442,16 +397,6 @@ fn run_thread_sweep() {
         &[&format!("construction time: {construction:?} (built once, reused for every BFS)")],
         "graph500_run.csv",
         &["key", "threads", "traversed", "time_ms", "MTEPS", "valid", "wire_KiB", "ckpt_ovh%"],
-        &[
-            "key",
-            "threads",
-            "traversed_edges",
-            "time_ms",
-            "mteps",
-            "valid",
-            "wire_bytes",
-            "checkpoint_overhead_pct",
-        ],
     );
     // per-thread-count TEPS populations for the summary table
     let mut teps_by_tc: Vec<Vec<f64>> = vec![Vec::new(); tcs.len()];
@@ -479,38 +424,18 @@ fn run_thread_sweep() {
         let t = *traversed as f64 / elapsed.as_secs_f64();
         teps_by_tc[tcs.iter().position(|tc| tc == threads).unwrap()].push(t);
         all_valid &= *valid;
-        exp.row2(
-            &csv_row![
-                key,
-                threads,
-                traversed,
-                havoq_bench::ms(elapsed),
-                format!("{:.2}", t / 1e6),
-                valid,
-                wire_bytes / 1024,
-                format!("{ck_ovh:.2}")
-            ],
-            &csv_row![
-                key,
-                threads,
-                traversed,
-                elapsed.as_secs_f64() * 1e3,
-                t / 1e6,
-                valid,
-                wire_bytes,
-                ck_ovh
-            ],
-        );
+        let (ms, mteps) = (elapsed.as_secs_f64() * 1e3, t / 1e6);
+        let (ms, mteps, ck_ovh) =
+            (format!("{ms:.3}"), format!("{mteps:.3}"), format!("{ck_ovh:.2}"));
+        exp.row(&csv_row![key, threads, traversed, ms, mteps, valid, wire_bytes / 1024, ck_ovh]);
     }
 
     // per-thread-count TEPS summary: the Graph500 statistics at every
     // worker-pool size, plus harmonic-mean speedup over the serial rows
     println!();
     havoq_bench::print_header(&["threads", "min_MTEPS", "harm_MTEPS", "max_MTEPS", "speedup"]);
-    // harmonic mean over the *finite, nonzero* TEPS population: a single
-    // zero-TEPS key (a degenerate timer or an empty traversal) used to
-    // poison the whole mean with a division by zero; such keys are now
-    // skipped and counted loudly instead
+    // harmonic mean over the *finite, nonzero* TEPS population: a
+    // zero-TEPS key (degenerate timer, empty traversal) is skipped loudly
     let harm = |ts: &[f64]| {
         let usable: Vec<f64> = ts.iter().copied().filter(|t| t.is_finite() && *t > 0.0).collect();
         let skipped = ts.len() - usable.len();
@@ -559,7 +484,6 @@ fn run_thread_sweep() {
             format!("all trees valid: {all_valid}"),
         ])
         .collect();
-    let note_refs: Vec<&str> = notes.iter().map(String::as_str).collect();
-    exp.finish(&note_refs);
+    exp.finish(&notes);
     assert!(all_valid, "Graph500 validation failed");
 }

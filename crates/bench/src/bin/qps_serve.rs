@@ -81,8 +81,8 @@ fn main() {
         let g = DistGraph::build(ctx, local, PartitionStrategy::EdgeList, GraphConfig::default());
         ctx.barrier();
 
-        let pool =
-            havoq_bench::select_search_keys(ctx, &g, pool_size, havoq_bench::SEARCH_KEY_SEED);
+        let pool = havoq_bench::select_search_keys(ctx, &g, pool_size)
+            .unwrap_or_else(|e| panic!("search-key selection failed: {e}"));
         let bcfg = BatchConfig::default().with_threads(threads);
 
         // measured slowest-rank service of one batch, in ns — the number
@@ -268,53 +268,25 @@ fn main() {
             "load", "offered", "achieved", "batches", "mean_occ", "p50_ms", "p99_ms", "shed",
             "shed_pct", "errors", "MTEPS",
         ],
-        &[
-            "load_factor",
-            "offered_qps",
-            "achieved_qps",
-            "batches",
-            "mean_occupancy",
-            "p50_ms",
-            "p99_ms",
-            "shed",
-            "shed_pct",
-            "errors",
-            "mteps",
-        ],
     );
     let mut saturated_qps = 0.0f64;
     let mut total_shed = 0u64;
     for (load, offered, achieved, batches, occ, p50, p99, shed, shed_pct, errors, mteps) in rows {
         saturated_qps = saturated_qps.max(*achieved);
         total_shed += shed;
-        exp.row2(
-            &csv_row![
-                format!("{load:.2}x"),
-                format!("{offered:.1}"),
-                format!("{achieved:.1}"),
-                batches,
-                format!("{occ:.1}"),
-                format!("{:.3}", *p50 as f64 / 1e6),
-                format!("{:.3}", *p99 as f64 / 1e6),
-                shed,
-                format!("{shed_pct:.1}"),
-                errors,
-                format!("{mteps:.2}")
-            ],
-            &csv_row![
-                load,
-                offered,
-                achieved,
-                batches,
-                occ,
-                *p50 as f64 / 1e6,
-                *p99 as f64 / 1e6,
-                shed,
-                shed_pct,
-                errors,
-                mteps
-            ],
-        );
+        exp.row(&csv_row![
+            format!("{load:.2}"),
+            format!("{offered:.1}"),
+            format!("{achieved:.1}"),
+            batches,
+            format!("{occ:.2}"),
+            format!("{:.3}", *p50 as f64 / 1e6),
+            format!("{:.3}", *p99 as f64 / 1e6),
+            shed,
+            format!("{shed_pct:.1}"),
+            errors,
+            format!("{mteps:.3}")
+        ]);
     }
     let notes = [
         format!("saturated throughput: {saturated_qps:.1} QPS at batch capacity {capacity}"),
@@ -337,6 +309,5 @@ fn main() {
          jitter), not the nominal load-factor target"
             .to_string(),
     ];
-    let note_refs: Vec<&str> = notes.iter().map(String::as_str).collect();
-    exp.finish(&note_refs);
+    exp.finish(&notes);
 }

@@ -1,35 +1,26 @@
-//! Shared harness for the experiment binaries that regenerate the paper's
-//! tables and figures.
+//! Shared harness for the evaluation binaries.
 //!
-//! Each binary under `src/bin/` reproduces one evaluation artifact (see
-//! DESIGN.md's per-experiment index), prints the paper's rows/series to
-//! stdout, and writes a CSV under `results/`. Set `HAVOQ_QUICK=1` to run
-//! reduced parameter sweeps (used by integration tests); set
-//! `HAVOQ_SCALE_BUMP=n` to grow workloads on bigger machines.
+//! `paper_rows` prints the paper's figures as one table of
+//! machine-independent counters and checks their shapes (see DESIGN.md's
+//! per-experiment index); `graph500_run` and `qps_serve` drive the
+//! Graph500 and serving runs. Each prints to stdout and writes a CSV under
+//! `results/`. Set `HAVOQ_QUICK=1` to run the reduced sweeps of the two
+//! drivers.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// True when reduced sweeps are requested.
-pub fn quick() -> bool {
-    std::env::var("HAVOQ_QUICK").map(|v| v != "0").unwrap_or(false)
-}
-
-/// Pick the reduced-sweep parameter under `HAVOQ_QUICK`, the full one
-/// otherwise. Every experiment binary sizes its workload this way.
+/// Pick the reduced-sweep parameter under `HAVOQ_QUICK` (any value but
+/// `0`), the full one otherwise. `graph500_run` and `qps_serve` size their
+/// workloads this way.
 pub fn pick<T>(quick_val: T, full_val: T) -> T {
-    if quick() {
+    if std::env::var("HAVOQ_QUICK").is_ok_and(|v| v != "0") {
         quick_val
     } else {
         full_val
     }
-}
-
-/// Additional scale applied to workloads (log2 steps).
-pub fn scale_bump() -> u32 {
-    std::env::var("HAVOQ_SCALE_BUMP").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
 /// Value of the option `--name v` (or `--name=v`) in `args`; the first
@@ -111,95 +102,20 @@ pub fn direction() -> Option<havoq_core::direction::DirectionMode> {
     })
 }
 
-/// CSR storage backend for the traversal binaries (DESIGN.md §14).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StorageMode {
-    /// Targets in DRAM.
-    Mem,
-    /// Raw `u64` targets behind the NVRAM page cache.
-    Ext,
-    /// Varint gap-compressed target bytes behind the page cache.
-    ExtCompressed,
-}
-
-impl StorageMode {
-    pub fn parse(v: &str) -> Option<Self> {
-        match v {
-            "mem" => Some(Self::Mem),
-            "ext" => Some(Self::Ext),
-            "ext-compressed" | "ext-comp" => Some(Self::ExtCompressed),
-            _ => None,
-        }
-    }
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Mem => "mem",
-            Self::Ext => "ext",
-            Self::ExtCompressed => "ext-comp",
-        }
-    }
-
-    /// Build the matching [`havoq_graph::GraphConfig`] — `profile`/`cache`
-    /// apply to the external variants so mem and ext rows share one call
-    /// site at equal cache budget.
-    pub fn graph_config(
-        &self,
-        profile: havoq_nvram::DeviceProfile,
-        cache: havoq_nvram::PageCacheConfig,
-    ) -> havoq_graph::GraphConfig {
-        match self {
-            Self::Mem => havoq_graph::GraphConfig::default(),
-            Self::Ext => havoq_graph::GraphConfig::external(profile, cache),
-            Self::ExtCompressed => havoq_graph::GraphConfig::external_compressed(profile, cache),
-        }
-    }
-}
-
-/// CSR storage backend: `--storage {mem,ext,ext-compressed}`. `None` (the
-/// default) lets each binary keep its built-in storage matrix; an unknown
-/// token panics loudly rather than silently falling back.
-pub fn storage() -> Option<StorageMode> {
-    flag("storage").map(|v| {
-        StorageMode::parse(&v)
-            .unwrap_or_else(|| panic!("unknown --storage {v:?} (want mem|ext|ext-compressed)"))
-    })
-}
-
-/// The Graph500 search-key seed the benchmark binaries share.
-pub const SEARCH_KEY_SEED: u64 = 0x9E3779B97F4A7C15;
+/// The Graph500 search-key seed the drivers share.
+const SEARCH_KEY_SEED: u64 = 0x9E3779B97F4A7C15;
 
 /// Select `num_keys` *distinct* search keys with nonzero degree (the
 /// Graph500 rule), deterministically and collectively: every rank runs the
 /// same xorshift probe sequence and the same degree-probe collectives, so
-/// all ranks agree on the key set.
-///
-/// Panics (loudly, with counts) when the graph does not contain enough
-/// usable keys — see [`select_search_keys_checked`]. The old in-bin
-/// selection loop silently *under-filled* when its `4 × num_keys` random
-/// probes ran out on a small or sparse graph, quietly shrinking the
-/// benchmark; now the probe phase falls back to a deterministic rescan of
-/// the whole vertex range, and failure is only declared when the graph
-/// genuinely has fewer usable vertices than requested.
+/// all ranks agree on the key set. When the `4 × num_keys` random probes
+/// run out, a deterministic rescan of the whole vertex range fills the
+/// list. `Err` reports how many usable keys exist when the graph has fewer
+/// than requested.
 pub fn select_search_keys(
     ctx: &havoq_comm::RankCtx,
     g: &havoq_graph::dist::DistGraph,
     num_keys: usize,
-    seed: u64,
-) -> Vec<havoq_graph::types::VertexId> {
-    match select_search_keys_checked(ctx, g, num_keys, seed) {
-        Ok(keys) => keys,
-        Err(e) => panic!("search-key selection failed: {e}"),
-    }
-}
-
-/// Fallible core of [`select_search_keys`]: `Err` reports how many usable
-/// keys exist when the request cannot be met.
-pub fn select_search_keys_checked(
-    ctx: &havoq_comm::RankCtx,
-    g: &havoq_graph::dist::DistGraph,
-    num_keys: usize,
-    seed: u64,
 ) -> Result<Vec<havoq_graph::types::VertexId>, String> {
     use havoq_graph::types::VertexId;
     let n = g.num_vertices();
@@ -211,7 +127,7 @@ pub fn select_search_keys_checked(
     let mut keys: Vec<VertexId> = Vec::new();
     let mut used = std::collections::HashSet::new();
     // phase 1: pseudo-random probes, 4 tries per requested key
-    let mut state = seed;
+    let mut state = SEARCH_KEY_SEED;
     let mut tried = 0;
     while keys.len() < num_keys && tried < num_keys * 4 {
         state ^= state << 13;
@@ -271,73 +187,42 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Minimal CSV writer for experiment outputs.
-pub struct Csv {
-    out: BufWriter<File>,
-    path: PathBuf,
-}
-
-impl Csv {
-    pub fn create(name: &str, header: &[&str]) -> Self {
-        let path = results_dir().join(name);
-        let mut out = BufWriter::new(File::create(&path).expect("create csv"));
-        writeln!(out, "{}", header.join(",")).expect("write header");
-        Self { out, path }
-    }
-
-    pub fn row(&mut self, fields: &[String]) {
-        writeln!(self.out, "{}", fields.join(",")).expect("write row");
-    }
-
-    pub fn finish(mut self) {
-        self.out.flush().expect("flush csv");
-        eprintln!("[csv] wrote {}", self.path.display());
-    }
-}
-
 /// One experiment artifact: the console banner + table and the CSV under
 /// `results/`, driven together so every binary emits both the same way.
 ///
 /// The banner lines print verbatim, then a blank line, then the table
-/// header; rows go to both sinks; `finish` closes the CSV and prints the
-/// paper-shape commentary that states which trend the run should show.
+/// header; each row goes to both sinks with the same fields; `finish`
+/// flushes the CSV and prints the closing notes.
 pub struct Experiment {
-    csv: Csv,
+    csv: BufWriter<File>,
+    path: PathBuf,
 }
 
 impl Experiment {
-    pub fn begin(
-        banner: &[&str],
-        csv_name: &str,
-        console_cols: &[&str],
-        csv_cols: &[&str],
-    ) -> Self {
+    pub fn begin(banner: &[&str], csv_name: &str, cols: &[&str]) -> Self {
         for line in banner {
             println!("{line}");
         }
         println!();
-        print_header(console_cols);
-        Experiment { csv: Csv::create(csv_name, csv_cols) }
+        print_header(cols);
+        let path = results_dir().join(csv_name);
+        let mut csv = BufWriter::new(File::create(&path).expect("create csv"));
+        writeln!(csv, "{}", cols.join(",")).expect("write csv header");
+        Experiment { csv, path }
     }
 
     /// Emit one row to both the console table and the CSV.
     pub fn row(&mut self, fields: &[String]) {
         print_row(fields);
-        self.csv.row(fields);
+        writeln!(self.csv, "{}", fields.join(",")).expect("write csv row");
     }
 
-    /// Emit a row whose console formatting differs from the CSV record
-    /// (e.g. human-rounded times next to raw floats).
-    pub fn row2(&mut self, console: &[String], csv: &[String]) {
-        print_row(console);
-        self.csv.row(csv);
-    }
-
-    pub fn finish(self, notes: &[&str]) {
-        self.csv.finish();
+    pub fn finish(mut self, notes: &[impl AsRef<str>]) {
+        self.csv.flush().expect("flush csv");
+        eprintln!("[csv] wrote {}", self.path.display());
         println!();
         for line in notes {
-            println!("{line}");
+            println!("{}", line.as_ref());
         }
     }
 }
@@ -351,14 +236,7 @@ macro_rules! csv_row {
     };
 }
 
-/// Time a closure.
-pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed())
-}
-
-/// Print a right-aligned table row of width-12 columns.
+/// Print a right-aligned table row of width-14 columns.
 pub fn print_row(cols: &[String]) {
     let line: Vec<String> = cols.iter().map(|c| format!("{c:>14}")).collect();
     println!("{}", line.join(" "));
@@ -368,20 +246,6 @@ pub fn print_row(cols: &[String]) {
 pub fn print_header(cols: &[&str]) {
     print_row(&cols.iter().map(|c| c.to_string()).collect::<Vec<_>>());
     println!("{}", "-".repeat(15 * cols.len()));
-}
-
-/// Format a Duration as fractional milliseconds.
-pub fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
-/// Geometric-ish TEPS formatter.
-pub fn mteps(edges: u64, d: Duration) -> String {
-    if d.is_zero() {
-        "inf".to_string()
-    } else {
-        format!("{:.2}", edges as f64 / d.as_secs_f64() / 1e6)
-    }
 }
 
 #[cfg(test)]
@@ -406,9 +270,9 @@ mod tests {
     fn experiment_writes_both_sinks() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         std::env::set_var("HAVOQ_RESULTS", std::env::temp_dir().join("havoq-exp-test"));
-        let mut exp = Experiment::begin(&["banner"], "exp.csv", &["a", "b"], &["a", "b"]);
+        let mut exp = Experiment::begin(&["banner"], "exp.csv", &["a", "b"]);
         exp.row(&csv_row![1, 2]);
-        exp.row2(&csv_row!["1.0 ms", "x"], &csv_row![1.5, "x"]);
+        exp.row(&csv_row![1.5, "x"]);
         exp.finish(&["note"]);
         let text = std::fs::read_to_string(results_dir().join("exp.csv")).unwrap();
         assert_eq!(text, "a,b\n1,2\n1.5,x\n");
@@ -427,7 +291,7 @@ mod tests {
         assert_eq!(flag_in(args("bin --batch=8 --batch 9"), "batch").as_deref(), Some("8"));
         assert_eq!(flag_in(args("bin --batch"), "batch"), None, "value missing");
         // the test binary's own command line carries none of the knobs
-        assert_eq!((faults(), batch(), direction(), storage()), (None, None, None, None));
+        assert_eq!((faults(), batch(), direction()), (None, None, None));
     }
 
     #[test]
@@ -435,34 +299,6 @@ mod tests {
         assert_eq!(parse_seed("42"), Some(42));
         assert_eq!(parse_seed("0xBEEF"), Some(0xBEEF));
         assert_eq!(parse_seed("not-a-seed"), None);
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("HAVOQ_RESULTS", std::env::temp_dir().join("havoq-csv-test"));
-        let mut c = Csv::create("t.csv", &["a", "b"]);
-        c.row(&csv_row![1, "x"]);
-        c.finish();
-        let text = std::fs::read_to_string(results_dir().join("t.csv")).unwrap();
-        assert_eq!(text, "a,b\n1,x\n");
-        std::env::remove_var("HAVOQ_RESULTS");
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(ms(Duration::from_millis(1500)), "1500.00");
-        assert_eq!(mteps(2_000_000, Duration::from_secs(1)), "2.00");
-        assert_eq!(mteps(1, Duration::ZERO), "inf");
-    }
-
-    #[test]
-    fn storage_tokens_parse() {
-        assert_eq!(StorageMode::parse("mem"), Some(StorageMode::Mem));
-        assert_eq!(StorageMode::parse("ext"), Some(StorageMode::Ext));
-        assert_eq!(StorageMode::parse("ext-compressed"), Some(StorageMode::ExtCompressed));
-        assert_eq!(StorageMode::parse("ext-comp"), Some(StorageMode::ExtCompressed));
-        assert!(StorageMode::parse("junk").is_none());
     }
 
     /// Bench hygiene regression: key selection probes degrees through the
@@ -492,8 +328,7 @@ mod tests {
                 PartitionStrategy::EdgeList,
                 GraphConfig::external_compressed(DeviceProfile::dram(), cache),
             );
-            let keys = select_search_keys(ctx, &g, 8, SEARCH_KEY_SEED);
-            assert_eq!(keys.len(), 8);
+            assert_eq!(select_search_keys(ctx, &g, 8).unwrap().len(), 8);
             g.csr().storage_snapshot().unwrap().adj_decodes
         });
         for decodes in counts {
@@ -521,8 +356,8 @@ mod tests {
                 PartitionStrategy::EdgeList,
                 GraphConfig::default().with_num_vertices(4),
             );
-            let ok = select_search_keys_checked(ctx, &g, 2, SEARCH_KEY_SEED);
-            let err = select_search_keys_checked(ctx, &g, 3, SEARCH_KEY_SEED);
+            let ok = select_search_keys(ctx, &g, 2);
+            let err = select_search_keys(ctx, &g, 3);
             (ok, err)
         });
         for (ok, err) in out {
@@ -552,7 +387,7 @@ mod tests {
                 PartitionStrategy::EdgeList,
                 GraphConfig::default().with_num_vertices(n),
             );
-            select_search_keys(ctx, &g, 8, SEARCH_KEY_SEED)
+            select_search_keys(ctx, &g, 8).unwrap()
         });
         assert_eq!(out[0].len(), 8);
         for rank in &out {

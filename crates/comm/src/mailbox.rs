@@ -76,16 +76,6 @@ pub struct MailboxConfig {
     /// unbounded (no backpressure, the seed behavior); `Some(n)` makes a
     /// full queue stall the sender into the drain-and-retry slow path.
     pub channel_capacity: Option<usize>,
-    /// Simulated network cost charged at the receiver per delivered
-    /// payload, in nanoseconds. Zero (the default) disables the model.
-    ///
-    /// Shared-memory channels make a "network" message as cheap as a local
-    /// call, which hides the per-message receive overhead every real
-    /// interconnect has — the overhead that serializes at a hub's master
-    /// partition and that ghost filtering exists to remove (Figure 13).
-    /// Setting a few hundred nanoseconds restores that cost honestly:
-    /// it is charged for every delivered payload, whoever sent it.
-    pub recv_cost_ns: u64,
     /// CRC-frame every shipped frame and run the ACK/NACK/retransmit
     /// machinery (see the module docs). On by default; turning it off
     /// removes the trailer and the retransmit buffer (the measured-overhead
@@ -106,7 +96,6 @@ impl Default for MailboxConfig {
             batch_size: 64,
             frame_bytes: 4096,
             channel_capacity: Some(DEFAULT_CHANNEL_CAPACITY),
-            recv_cost_ns: 0,
             integrity: true,
         }
     }
@@ -115,11 +104,6 @@ impl Default for MailboxConfig {
 impl MailboxConfig {
     pub fn with_topology(topology: TopologyKind) -> Self {
         Self { topology, ..Self::default() }
-    }
-
-    pub fn with_recv_cost_ns(mut self, ns: u64) -> Self {
-        self.recv_cost_ns = ns;
-        self
     }
 
     pub fn with_frame_bytes(mut self, bytes: usize) -> Self {
@@ -294,23 +278,9 @@ pub struct Mailbox<M: Send + WireCodec + 'static> {
     inbox: VecDeque<Vec<u8>>,
     integrity: Option<Integrity>,
     pool: FramePool,
-    recv_cost_ns: u64,
     /// Running end-to-end payload and byte-level counters; [`Self::stats`]
     /// adds the frame pool's two.
     counters: MailboxStatsSnapshot,
-}
-
-/// Busy-wait for `ns` nanoseconds (sleep granularity is far coarser).
-#[inline]
-fn spin_ns(ns: u64) {
-    if ns == 0 {
-        return;
-    }
-    let start = std::time::Instant::now();
-    let target = std::time::Duration::from_nanos(ns);
-    while start.elapsed() < target {
-        std::hint::spin_loop();
-    }
 }
 
 impl<M: Send + WireCodec + 'static> Mailbox<M> {
@@ -376,7 +346,6 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
             // for receive churn, and gets back up to ACK_EVERY_FRAMES
             // retained copies per hop in one cumulative ACK
             pool: FramePool::new(frame_cap, 2 * p + 8 + p * ACK_EVERY_FRAMES as usize),
-            recv_cost_ns: cfg.recv_cost_ns,
             counters: MailboxStatsSnapshot {
                 frame_capacity_records: cap_records as u64,
                 ..MailboxStatsSnapshot::default()
@@ -584,10 +553,6 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
         while let Some(buf) = self.recv_verified() {
             delivered += self.process_frame(buf, out);
         }
-        // network cost model: per-payload receive overhead (see
-        // `MailboxConfig::recv_cost_ns`); self-sends are charged too — the
-        // paper's queue pushes even local visitors through the mailbox
-        spin_ns(self.recv_cost_ns.saturating_mul(delivered as u64));
         delivered
     }
 
@@ -1219,24 +1184,6 @@ mod tests {
             assert_eq!(out, vec![5]);
             assert_eq!(mb.transport_stats().total_msgs(), 0);
             assert_eq!(mb.stats().bytes_sent, 0, "self-sends never hit the wire");
-        });
-    }
-
-    #[test]
-    fn recv_cost_model_charges_receiver() {
-        CommWorld::run(1, |ctx| {
-            let cfg = MailboxConfig::default().with_recv_cost_ns(100_000);
-            let mut mb = Mailbox::<u32>::open(ctx, 3, cfg);
-            for i in 0..20 {
-                mb.send(0, i);
-            }
-            let mut out = Vec::new();
-            let t0 = std::time::Instant::now();
-            while mb.received_count() < 20 {
-                mb.poll(&mut out);
-            }
-            // 20 payloads x 100 us = 2 ms minimum
-            assert!(t0.elapsed() >= std::time::Duration::from_millis(2));
         });
     }
 

@@ -12,7 +12,7 @@
 //! or local — that has no hub slot. A vertex that finds its slot held by
 //! another takes it over from `Data::default()`, so aliasing only forgets,
 //! never invents. The filter is sized from the graph and the visitor, not
-//! configured (DESIGN.md §5, item 9): every vertex gets its own slot when
+//! configured (DESIGN.md §5, item 8): every vertex gets its own slot when
 //! that fits in [`FILTER_BYTES`].
 
 use std::any::Any;

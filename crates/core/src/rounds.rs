@@ -6,7 +6,7 @@
 //! (exclusive vertex access); newly created visitors appear at the end of
 //! the round. This module implements that executor for BFS so the bounds —
 //! `Θ(D + |E|/p + d_in_max)` without ghosts, `Θ(D + |E|/p + p)` with them —
-//! can be checked empirically (the `analysis_rounds` experiment binary).
+//! can be checked empirically (the `analysis_rounds` rows of `paper_rows`).
 //!
 //! The model is sequential and centralized by design: it is an *analysis*
 //! tool, not the distributed implementation.

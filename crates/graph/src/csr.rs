@@ -521,7 +521,6 @@ mod tests {
                 shards: 2,
                 readahead_pages: 4,
                 io: IoConfig::asynchronous(),
-                ..PageCacheConfig::default()
             },
         };
         let csr = LocalCsr::build(10, 4, &sample_edges(), storage);

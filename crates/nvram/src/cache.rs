@@ -18,7 +18,6 @@
 //! see [`crate::io`] for the queue, worker pool, and ordering guarantees.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -33,26 +32,6 @@ use crate::io::{
     WritebackRegistry,
 };
 
-/// Frame replacement policy. The paper's cache uses CLOCK; LRU and FIFO
-/// are provided for the design-choice ablation benchmark.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Second-chance CLOCK (the paper's design: near-LRU at O(1) cost).
-    #[default]
-    Clock,
-    /// True least-recently-used (stamp-ordered victim index).
-    Lru,
-    /// First-in-first-out (ignores recency entirely).
-    Fifo,
-}
-
-impl EvictionPolicy {
-    /// Whether the policy keeps the stamp-ordered victim index.
-    fn stamp_ordered(self) -> bool {
-        matches!(self, EvictionPolicy::Lru | EvictionPolicy::Fifo)
-    }
-}
-
 /// Page cache configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct PageCacheConfig {
@@ -63,8 +42,6 @@ pub struct PageCacheConfig {
     pub capacity_pages: usize,
     /// Number of independently-locked shards.
     pub shards: usize,
-    /// Frame replacement policy.
-    pub policy: EvictionPolicy,
     /// On a read miss, also fault in up to this many following pages.
     ///
     /// The vertex-ordered visitor queue makes adjacency reads sequential,
@@ -84,7 +61,6 @@ impl Default for PageCacheConfig {
             page_size: 4096,
             capacity_pages: 1024,
             shards: 8,
-            policy: EvictionPolicy::Clock,
             readahead_pages: 0,
             io: IoConfig::default(),
         }
@@ -127,8 +103,6 @@ struct Frame {
     data: Box<[u8]>,
     referenced: bool,
     dirty: bool,
-    /// Shard-local tick of the last access (LRU) / of insertion (FIFO).
-    stamp: u64,
     /// Buffer is checked out for an out-of-lock fill; not evictable.
     limbo: bool,
 }
@@ -139,28 +113,45 @@ struct Shard {
     frames: Vec<Frame>,
     clock_hand: usize,
     capacity: usize,
-    tick: u64,
-    /// stamp -> frame index, maintained for LRU/FIFO only: victim choice
-    /// is `pop_first` instead of an O(capacity) scan. Limbo frames are
-    /// absent (not evictable).
-    order: BTreeMap<u64, usize>,
 }
 
 impl Shard {
     fn new(capacity: usize) -> Self {
-        Self {
-            map: FxHashMap::default(),
-            frames: Vec::new(),
-            clock_hand: 0,
-            capacity,
-            tick: 0,
-            order: BTreeMap::new(),
-        }
+        Self { map: FxHashMap::default(), frames: Vec::new(), clock_hand: 0, capacity }
     }
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    /// Publish a filled buffer as the frame for `page_no`. Caller holds
+    /// the shard lock and must notify the shard condvar afterwards.
+    fn install_frame(&mut self, idx: usize, page_no: u64, buf: Box<[u8]>, dirty: bool) {
+        let frame = &mut self.frames[idx];
+        frame.page_no = page_no;
+        frame.data = buf;
+        frame.referenced = true;
+        frame.dirty = dirty;
+        frame.limbo = false;
+        self.map.insert(page_no, Slot::Present(idx));
+    }
+
+    /// CLOCK (second-chance) victim selection. `None` means every frame is
+    /// in limbo (all buffers checked out for fills).
+    fn pick_victim(&mut self) -> Option<usize> {
+        let len = self.frames.len();
+        // Bounded scan: one full lap clears reference bits, the second must
+        // find an unreferenced non-limbo frame unless all frames are in
+        // limbo.
+        for _ in 0..(2 * len + 1) {
+            let i = self.clock_hand;
+            self.clock_hand = (self.clock_hand + 1) % len;
+            if self.frames[i].limbo {
+                continue;
+            }
+            if self.frames[i].referenced {
+                self.frames[i].referenced = false;
+            } else {
+                return Some(i);
+            }
+        }
+        None
     }
 }
 
@@ -360,13 +351,6 @@ impl CacheCore {
             match shard.map.get(&page_no).copied() {
                 Some(Slot::Present(idx)) => {
                     self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    if self.cfg.policy == EvictionPolicy::Lru {
-                        let stamp = shard.next_tick();
-                        let old = shard.frames[idx].stamp;
-                        shard.order.remove(&old);
-                        shard.frames[idx].stamp = stamp;
-                        shard.order.insert(stamp, idx);
-                    }
                     let frame = &mut shard.frames[idx];
                     frame.referenced = true;
                     frame.dirty |= mark_dirty;
@@ -416,7 +400,7 @@ impl CacheCore {
         }
         self.stall(t);
         let mut shard = slot.lock();
-        self.install_frame(&mut shard, idx, page_no, buf, mark_dirty);
+        shard.install_frame(idx, page_no, buf, mark_dirty);
         slot.cv.notify_all();
         let frame = &mut shard.frames[idx];
         (f(&mut frame.data), true)
@@ -469,20 +453,16 @@ impl CacheCore {
                 data: Box::default(),
                 referenced: false,
                 dirty: false,
-                stamp: 0,
                 limbo: true,
             });
             return Reserve::New(shard.frames.len() - 1);
         }
-        let Some(victim) = self.pick_victim(shard) else {
+        let Some(victim) = shard.pick_victim() else {
             return Reserve::Starved;
         };
         self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         let old_page = shard.frames[victim].page_no;
         shard.map.remove(&old_page);
-        if self.cfg.policy.stamp_ordered() {
-            shard.order.remove(&shard.frames[victim].stamp);
-        }
         // Register dirty victims while the lock is still held: from here
         // until the write-behind completes, faults of `old_page` resolve
         // from the registry, never from stale device bytes.
@@ -494,62 +474,6 @@ impl CacheCore {
         frame.dirty = false;
         let buf = std::mem::take(&mut frame.data);
         Reserve::Evicted { idx: victim, buf, pending }
-    }
-
-    /// Publish a filled buffer as the frame for `page_no`. Caller holds
-    /// the shard lock and must notify the shard condvar afterwards.
-    fn install_frame(
-        &self,
-        shard: &mut Shard,
-        idx: usize,
-        page_no: u64,
-        buf: Box<[u8]>,
-        dirty: bool,
-    ) {
-        let stamp = shard.next_tick();
-        let frame = &mut shard.frames[idx];
-        frame.page_no = page_no;
-        frame.data = buf;
-        frame.referenced = true;
-        frame.dirty = dirty;
-        frame.stamp = stamp;
-        frame.limbo = false;
-        if self.cfg.policy.stamp_ordered() {
-            shard.order.insert(stamp, idx);
-        }
-        shard.map.insert(page_no, Slot::Present(idx));
-    }
-
-    /// Victim selection according to the configured policy. `None` means
-    /// every frame is in limbo (all buffers checked out for fills).
-    fn pick_victim(&self, shard: &mut Shard) -> Option<usize> {
-        match self.cfg.policy {
-            EvictionPolicy::Clock => {
-                let len = shard.frames.len();
-                // Bounded scan: one full lap clears reference bits, the
-                // second must find an unreferenced non-limbo frame unless
-                // all frames are in limbo.
-                for _ in 0..(2 * len + 1) {
-                    let i = shard.clock_hand;
-                    shard.clock_hand = (shard.clock_hand + 1) % len;
-                    if shard.frames[i].limbo {
-                        continue;
-                    }
-                    if shard.frames[i].referenced {
-                        shard.frames[i].referenced = false;
-                    } else {
-                        return Some(i);
-                    }
-                }
-                None
-            }
-            // LRU: oldest access stamp; FIFO: oldest insertion stamp. The
-            // order index makes this O(log n) instead of an O(capacity)
-            // scan per eviction; limbo frames are absent from the index.
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => {
-                shard.order.iter().next().map(|(_, &idx)| idx)
-            }
-        }
     }
 
     /// Fill absent pages in `first .. first + count`, clamped to the data
@@ -667,7 +591,7 @@ impl CacheCore {
                         } else {
                             buf.copy_from_slice(&bulk[i * ps..(i + 1) * ps]);
                         }
-                        self.install_frame(&mut shard, idx, page_no, buf, false);
+                        shard.install_frame(idx, page_no, buf, false);
                         self.counters.prefetches.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -798,7 +722,6 @@ impl CacheCore {
             }
             shard.map.clear();
             shard.frames.clear();
-            shard.order.clear();
             shard.clock_hand = 0;
         }
     }
@@ -973,12 +896,6 @@ impl PageCache {
                 assert!(seen[idx], "shard {si}: frame {idx} (page {}) unmapped", frame.page_no);
             }
             assert!(shard.frames.len() <= shard.capacity, "shard {si}: over capacity");
-            if self.core.cfg.policy.stamp_ordered() {
-                assert_eq!(shard.order.len(), shard.frames.len(), "shard {si}: order index size");
-                for (&stamp, &idx) in &shard.order {
-                    assert_eq!(shard.frames[idx].stamp, stamp, "shard {si}: stale order stamp");
-                }
-            }
         }
     }
 }
@@ -1140,6 +1057,7 @@ mod tests {
             c.read_at((i * 32) as u64, &mut buf);
             assert_eq!(buf, [i as u8; 32], "page {i}");
         }
+        c.validate();
     }
 
     #[test]
@@ -1402,62 +1320,6 @@ mod tests {
         );
     }
 
-    fn policy_cache(policy: EvictionPolicy) -> PageCache {
-        let dev = Arc::new(MemDevice::new());
-        PageCache::new(
-            dev as Arc<dyn BlockDevice>,
-            PageCacheConfig {
-                page_size: 64,
-                capacity_pages: 2,
-                shards: 1,
-                policy,
-                ..PageCacheConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn lru_keeps_recently_used() {
-        let c = policy_cache(EvictionPolicy::Lru);
-        let mut b = [0u8; 1];
-        c.read_at(0, &mut b); // A
-        c.read_at(64, &mut b); // B
-        c.read_at(0, &mut b); // A: now most recent
-        c.read_at(128, &mut b); // C: LRU evicts B
-        c.read_at(0, &mut b); // A: must hit
-        let s = c.stats();
-        assert_eq!((s.misses, s.hits), (3, 2), "{s:?}");
-    }
-
-    #[test]
-    fn fifo_ignores_recency() {
-        let c = policy_cache(EvictionPolicy::Fifo);
-        let mut b = [0u8; 1];
-        c.read_at(0, &mut b); // A (inserted first)
-        c.read_at(64, &mut b); // B
-        c.read_at(0, &mut b); // A hit: FIFO unaffected
-        c.read_at(128, &mut b); // C: evicts A (oldest insertion)
-        c.read_at(0, &mut b); // A: must miss again
-        let s = c.stats();
-        assert_eq!((s.misses, s.hits), (4, 1), "{s:?}");
-    }
-
-    #[test]
-    fn all_policies_preserve_data() {
-        for policy in [EvictionPolicy::Clock, EvictionPolicy::Lru, EvictionPolicy::Fifo] {
-            let c = policy_cache(policy);
-            for i in 0..32u64 {
-                c.write_at(i * 64, &[i as u8; 64]);
-            }
-            for i in 0..32u64 {
-                let mut buf = [0u8; 64];
-                c.read_at(i * 64, &mut buf);
-                assert_eq!(buf, [i as u8; 64], "{policy:?} page {i}");
-            }
-            c.validate();
-        }
-    }
-
     #[test]
     fn concurrent_disjoint_writers() {
         let dev = Arc::new(MemDevice::new());
@@ -1502,7 +1364,6 @@ mod tests {
                 shards: 2,
                 readahead_pages: 4,
                 io: IoConfig::asynchronous(),
-                ..PageCacheConfig::default()
             },
         );
         let n = 64usize;
@@ -1569,7 +1430,6 @@ mod tests {
                 shards: 2,
                 readahead_pages: 8,
                 io: IoConfig::asynchronous(),
-                ..PageCacheConfig::default()
             },
         );
         c.write_at(0, &[1u8; 256]);

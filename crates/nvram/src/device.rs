@@ -315,8 +315,7 @@ impl DeviceProfile {
     /// Enterprise PCIe NAND at *real* (unscaled) latency: ~100 us/page
     /// read. Coarse enough that simulated waits sleep — blocking the
     /// calling thread like real I/O — so experiments about overlapping
-    /// device latency (the intra-rank worker-pool speedup table) measure
-    /// genuine overlap even on a low-core host.
+    /// device latency measure genuine overlap even on a low-core host.
     pub const fn fusion_io_realtime() -> Self {
         Self {
             name: "fusion-io-rt",

@@ -29,7 +29,7 @@ pub mod device;
 pub mod extvec;
 pub mod io;
 
-pub use cache::{shard_lock_held, CacheStatsSnapshot, EvictionPolicy, PageCache, PageCacheConfig};
+pub use cache::{shard_lock_held, CacheStatsSnapshot, PageCache, PageCacheConfig};
 pub use checkpoint::{CheckpointError, CheckpointStore};
 pub use device::{
     BlockDevice, DeviceProfile, DeviceStatsSnapshot, FileDevice, MemDevice, SimNvram,

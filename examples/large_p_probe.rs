@@ -3,7 +3,7 @@
 //!
 //! A collective is O(p) messages; this prints what it actually costs, so a
 //! per-call or per-traversal O(p²) allocation shows up as microseconds and
-//! bytes that grow with p instead of as a slow figure binary.
+//! bytes that grow with p instead of as a slow `paper_rows` run.
 //!
 //! Usage: `cargo run --release --example large_p_probe [ROW]`
 //!

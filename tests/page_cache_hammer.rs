@@ -46,7 +46,6 @@ fn hammer(threads: usize, io: IoConfig, rounds: usize) {
             shards: 4,
             readahead_pages: 4,
             io,
-            ..PageCacheConfig::default()
         },
     ));
 
@@ -139,7 +138,6 @@ fn hammer_with_corruption(threads: usize, io: IoConfig, rounds: usize, permille:
             shards: 4,
             readahead_pages: 4,
             io,
-            ..PageCacheConfig::default()
         },
     ));
 
