@@ -7,6 +7,8 @@
 //! `results/`. Set `HAVOQ_QUICK=1` to run the reduced sweeps of the two
 //! drivers.
 
+#![forbid(unsafe_code)]
+
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;

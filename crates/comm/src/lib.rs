@@ -26,6 +26,8 @@
 //! identical to what a real network would carry; only absolute latencies
 //! differ. See DESIGN.md at the workspace root for the substitution argument.
 
+#![forbid(unsafe_code)]
+
 pub mod chan;
 pub mod codec;
 pub mod collectives;

@@ -930,9 +930,10 @@ impl AdmissionQueue {
     }
 
     /// Enqueue one arrival. Arrival timestamps must be non-decreasing.
-    /// Returns `false` iff the arrival (or, under
-    /// [`ShedPolicy::DropOldest`], a previously pending one) was shed at
-    /// the backlog bound.
+    /// Returns `false` iff this arrival was shed at the backlog bound,
+    /// which happens only under [`ShedPolicy::RejectNew`]. Under
+    /// [`ShedPolicy::DropOldest`] the oldest waiter is shed instead and
+    /// the new arrival is admitted, so the call returns `true`.
     pub fn offer(&mut self, a: Arrival) -> bool {
         if let Some(last) = self.pending.back() {
             assert!(a.at_ns >= last.at_ns, "arrivals must be offered in time order");

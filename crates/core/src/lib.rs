@@ -32,6 +32,8 @@
 //!   a stall watchdog, driving the batched visitors level-synchronously
 //!   so every query ends in a well-defined [`lifecycle::QueryOutcome`].
 
+#![forbid(unsafe_code)]
+
 pub mod algorithms;
 pub mod batch;
 pub mod checkpoint;

@@ -22,6 +22,8 @@
 //!   and ghost candidates, built collectively over a `havoq-comm` world.
 //! - [`analysis`] — degree censuses and hub statistics (Figure 1).
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod csr;
 pub mod dist;

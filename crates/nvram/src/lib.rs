@@ -23,6 +23,8 @@
 //! - [`extvec`] — typed external arrays over the cache, used by the
 //!   semi-external CSR (vertex state in DRAM, edge targets in "NVRAM").
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod checkpoint;
 pub mod device;

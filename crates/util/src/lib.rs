@@ -16,6 +16,8 @@
 //! - [`parallel`]: a scoped worker pool, atomic bitmap, and per-worker
 //!   cells backing the intra-rank parallel traversal (DESIGN.md §11).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod crc;
 pub mod parallel;
 pub mod testing;

@@ -173,6 +173,9 @@ pub struct LockedSlots<'a, T> {
 // reference is used on whichever thread won the lock. `locks` is a shared
 // reference to atomics.
 unsafe impl<T: Send> Sync for LockedSlots<'_, T> {}
+// SAFETY: moving the view to another thread moves a `&mut [T]` borrow
+// (the raw pointer plus `_marker`) and a `&AtomicBitVec`; both are `Send`
+// for `T: Send`, and the pointer is never freed through this view.
 unsafe impl<T: Send> Send for LockedSlots<'_, T> {}
 
 impl<'a, T> LockedSlots<'a, T> {
@@ -342,6 +345,9 @@ impl WorkerPool {
                 seen_epoch = st.epoch;
                 st.job.expect("job set for the live epoch")
             };
+            // SAFETY: `job` was published by `broadcast` for this epoch, and
+            // `broadcast` does not return (so the closure it points to stays
+            // alive) until this worker has decremented `remaining` below.
             let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(w) }));
             let mut st = shared.state.lock().unwrap();
             if let Err(e) = outcome {
@@ -359,9 +365,10 @@ impl WorkerPool {
     /// Run `f(worker_index)` on every worker concurrently; blocks until
     /// all workers have returned. Re-raises the first worker panic.
     pub fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        // Erase the closure's lifetime into a raw fat pointer; sound
-        // because this function does not return until every worker is done
-        // with it.
+        // SAFETY: the transmute only erases the closure's lifetime; the
+        // fat pointer keeps its vtable. This function does not return
+        // until every worker is done with the pointer, so no use outlives
+        // `f`.
         let job = Job(unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(f)
         });

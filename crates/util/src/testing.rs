@@ -72,10 +72,11 @@ pub fn run_cases(cases: u64, f: impl Fn(&mut TestRng)) {
     }
 }
 
-/// Run a seeded simulation under each of `seeds`, in order, and shrink to
-/// the first failing seed: on a failure, the closure is re-run under that
-/// seed alone to confirm the failure is deterministic (not leakage from an
-/// earlier case), the seed is reported, and the panic is re-raised.
+/// Run a seeded simulation under each of `seeds`, in order, and stop at
+/// the first failing seed: the closure is re-run once under that seed
+/// alone to tell a deterministic failure from leakage out of an earlier
+/// case, the seed is reported, and the panic is re-raised. Nothing is
+/// shrunk.
 ///
 /// Built for the fault-injection sweep — `f(seed)` typically runs a full
 /// traversal under a `FaultConfig` derived from the seed and asserts the

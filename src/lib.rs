@@ -40,6 +40,8 @@
 //! See `examples/` for larger scenarios and `crates/bench/src/bin/` for the
 //! binaries that regenerate every figure and table of the paper.
 
+#![forbid(unsafe_code)]
+
 pub use havoq_comm as comm;
 pub use havoq_core as core;
 pub use havoq_graph as graph;
