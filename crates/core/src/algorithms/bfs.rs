@@ -15,6 +15,7 @@ use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
 
 use crate::checkpoint::CheckpointSpec;
+use crate::direction::DirectionMode;
 use crate::queue::{TraversalConfig, TraversalStats, VisitorQueue};
 use crate::visitor::{Role, Visitor, VisitorPush};
 
@@ -167,6 +168,11 @@ pub struct BfsConfig {
     /// When set, the traversal checkpoints at quiescence cuts and can
     /// crash/restore under an injected fault plan.
     pub checkpoint: Option<CheckpointSpec>,
+    /// Which engine runs the search: the asynchronous visitor loop (the
+    /// default) or the level-synchronous direction-optimizing engine,
+    /// forced top-down, forced bottom-up, or switching by Beamer's α/β
+    /// heuristic (DESIGN.md §13).
+    pub direction: DirectionMode,
 }
 
 impl BfsConfig {
@@ -181,8 +187,8 @@ impl BfsConfig {
     }
 
     /// Select the traversal engine / direction policy (DESIGN.md §13).
-    pub fn with_direction(mut self, mode: crate::direction::DirectionMode) -> Self {
-        self.traversal.direction.mode = mode;
+    pub fn with_direction(mut self, mode: DirectionMode) -> Self {
+        self.direction = mode;
         self
     }
 
@@ -247,7 +253,7 @@ impl BfsResult {
 /// assert_eq!(results[0].max_level, 2); // the opposite corner
 /// ```
 pub fn bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsConfig) -> BfsResult {
-    if cfg.traversal.direction.mode != crate::direction::DirectionMode::Async {
+    if cfg.direction != DirectionMode::Async {
         // Level-synchronous direction-optimizing engine (DESIGN.md §13):
         // same levels, deterministic min-id parents, per-level traces
         // available via `direction_bfs` directly.

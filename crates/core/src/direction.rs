@@ -18,13 +18,17 @@
 //!   `(vertex, level+1, parent)` pushed through the ordinary CRC-framed
 //!   mailbox, so ghost filtering, split-vertex replica chains and the
 //!   integrity plane are inherited unchanged;
-//! - `VisitorQueue::drain_round` — the queue's one driver with the park
-//!   executor and one-round cuts — delivers a round to a non-terminal
+//! - candidates are generated through `VisitorQueue::expand`, the queue's
+//!   one fan-out over its workers: top-down over the frontier's local
+//!   indices, bottom-up over the unvisited ones (a pool of one at
+//!   `threads == 1` runs them in index order on this thread);
+//! - `VisitorQueue::drain_round_with` — the queue's one driver with the
+//!   park executor and one-round cuts — delivers a round to a non-terminal
 //!   quiescence cut and parks the surviving visitors, which are exactly
 //!   the next frontier (master and replica copies both);
 //! - before a bottom-up level the master frontier bits cross the wire as
-//!   sparse `(word_index, bits)` records on a side mailbox settled by the
-//!   same driver under the queue's own cut (`queue::Side`), OR-ed into a
+//!   sparse `(word_index, bits)` records on a side mailbox that every
+//!   round settles under the queue's own cut (`queue::Side`), OR-ed into a
 //!   global bitmap on every rank;
 //! - the switch heuristic runs on one vector collective per level —
 //!   frontier size and frontier/unvisited edge counts — so every rank
@@ -48,14 +52,14 @@
 
 use std::time::Instant;
 
-use havoq_comm::{CutVerdict, MailboxConfig, RankCtx, WireCodec};
+use havoq_comm::{MailboxConfig, RankCtx, WireCodec};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
-use havoq_util::parallel::{AtomicBitVec, PerWorker, WorkerPool};
+use havoq_util::parallel::AtomicBitVec;
 
 use crate::algorithms::bfs::{BfsConfig, BfsData, BfsResult, UNREACHED};
 use crate::checkpoint::put_record;
-use crate::queue::{ShardPusher, Side, VisitorQueue};
+use crate::queue::{Side, VisitorQueue};
 use crate::visitor::{Role, Visitor, VisitorPush};
 
 /// Which engine (and direction policy) a BFS traversal uses.
@@ -86,20 +90,12 @@ impl DirectionMode {
     }
 }
 
-/// Top-down → bottom-up threshold (Beamer's α).
+/// Top-down → bottom-up threshold (Beamer's α): switch when the
+/// frontier's edge count exceeds `unvisited_edges / ALPHA`.
 const ALPHA: u64 = 14;
-/// Bottom-up → top-down threshold (Beamer's β).
+/// Bottom-up → top-down threshold (Beamer's β): switch back when the
+/// frontier shrinks below `num_vertices / BETA`.
 const BETA: u64 = 24;
-
-/// Direction-optimization knobs on [`crate::queue::TraversalConfig`].
-///
-/// The classic Beamer heuristic: switch top-down → bottom-up when the
-/// frontier's edge count exceeds `unvisited_edges / ALPHA`, and back
-/// top-down when the frontier shrinks below `num_vertices / BETA`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DirectionConfig {
-    pub mode: DirectionMode,
-}
 
 /// Expansion direction of one level. The discriminants are the codes a
 /// checkpointed [`LevelTrace`] stores.
@@ -288,13 +284,14 @@ impl EngineCut {
 /// Run direction-optimizing BFS from `source`. Collective; requires a
 /// symmetrized graph (bottom-up treats a vertex's out-neighbors as its
 /// in-neighbors, which is exactly the Graph500 / RMAT workload shape).
-/// `cfg.traversal.direction.mode` must not be [`DirectionMode::Async`] —
+/// `cfg.direction` must not be [`DirectionMode::Async`] —
 /// [`crate::algorithms::bfs::bfs`] dispatches that to the visitor loop.
 pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsConfig) -> DirBfsRun {
-    let dcfg = cfg.traversal.direction;
-    assert_ne!(dcfg.mode, DirectionMode::Async, "direction engine needs a non-Async mode");
+    let mode = cfg.direction;
+    assert_ne!(mode, DirectionMode::Async, "direction engine needs a non-Async mode");
     let start = Instant::now();
     let mut q = VisitorQueue::<DirBfsVisitor>::new(ctx, g, cfg.traversal);
+    let mut workers = q.workers();
     // the bottom-up frontier exchange: `(word_index, bits)` records
     let mut side: Side<(u64, u64)> = Side::open(ctx, MailboxConfig::default());
     let n = g.num_vertices();
@@ -302,13 +299,8 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
     let frontier = AtomicBitVec::new(nloc);
     let visited = AtomicBitVec::new(nloc);
     let global_frontier = AtomicBitVec::new(n as usize);
-    // workers stage candidates in per-worker sinks, with their share of
-    // the inspection count beside each
-    let mut pool = (cfg.traversal.threads > 1).then(|| {
-        let pool = WorkerPool::new(cfg.traversal.threads);
-        let sinks = PerWorker::new_with(pool.size(), |_| (ShardPusher::new(g), 0u64));
-        (pool, sinks)
-    });
+    // the local indices one level generates from
+    let mut items: Vec<usize> = Vec::new();
 
     // checkpoint machinery (same epoch/incarnation protocol as the
     // asynchronous checkpointed traversal; cuts happen at round
@@ -319,7 +311,7 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
 
     let mut trace: Vec<LevelTrace> = Vec::new();
     let mut level: u64 = 0;
-    let mut dir = match dcfg.mode {
+    let mut dir = match mode {
         DirectionMode::BottomUp => Direction::Bottom,
         _ => Direction::Top,
     };
@@ -327,8 +319,9 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
     if g.is_master(source) {
         q.push(DirBfsVisitor { vertex: source, length: 0, parent: source.0 });
     }
+    // No watchdog is armed, so every round below ends in a cut.
     let mut newly: Vec<DirBfsVisitor> = Vec::new();
-    q.drain_round(&mut newly);
+    q.drain_round_with(&mut newly, &mut side);
     fold_frontier(g, &frontier, &visited, &mut newly);
 
     loop {
@@ -396,7 +389,7 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
         }
 
         // -- direction decision (pure function of all-reduced values) --
-        dir = match dcfg.mode {
+        dir = match mode {
             DirectionMode::TopDown => Direction::Top,
             DirectionMode::BottomUp => Direction::Bottom,
             DirectionMode::Auto => match dir {
@@ -434,41 +427,25 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
             // included). A peer that sees the cut first starts generating;
             // this rank's driver pre-visits those early candidates and
             // parks them in `newly`, where the level's round wants them.
-            let verdict = q.drain_round_with(&mut newly, &mut side);
-            debug_assert_eq!(verdict, CutVerdict::Cut);
+            q.drain_round_with(&mut newly, &mut side);
             for (wi, bits) in side.inbox.drain(..) {
                 global_frontier.or_word(wi as usize, bits);
             }
         }
 
-        // -- generate next-level candidates --
-        let bitmaps = (&frontier, &visited, &global_frontier);
+        // -- generate next-level candidates: top-down from the frontier,
+        // bottom-up from the unvisited vertices. Delivery is
+        // order-independent (lexicographic minimum at `pre_visit`), and a
+        // vertex inspects the same entries whichever worker takes it --
+        items.clear();
+        match dir {
+            Direction::Top => frontier.for_each_set(|li| items.push(li)),
+            Direction::Bottom => items.extend((0..nloc).filter(|&li| !visited.get(li))),
+        }
         let pushed_before = q.stats_mut().visitors_pushed;
-        let inspected = match &mut pool {
-            None => generate(&mut q, g, dir, level, 0..nloc, bitmaps),
-            // Static contiguous ranges, absorbed in worker order: the wire
-            // sees a deterministic record stream for a given thread count,
-            // and delivery is order-independent anyway (lexicographic
-            // minimum at `pre_visit`). Inspection counts are
-            // partition-independent: each vertex contributes the same scan
-            // length whichever worker owns it.
-            Some((pool, sinks)) => {
-                let workers = pool.size();
-                let mut inspected = 0u64;
-                pool.fan_out(
-                    sinks,
-                    |w, (sink, n)| {
-                        let range = nloc * w / workers..nloc * (w + 1) / workers;
-                        *n = generate(sink, g, dir, level, range, bitmaps);
-                    },
-                    |(sink, n)| {
-                        inspected += *n;
-                        q.absorb(sink);
-                    },
-                );
-                inspected
-            }
-        };
+        let inspected = q.expand(&mut workers, &items, |_, sink, n, &li| {
+            *n += generate(sink, g, dir, level, li, &global_frontier)
+        });
         let s = q.stats_mut();
         s.edges_inspected += inspected;
         match dir {
@@ -489,7 +466,7 @@ pub fn direction_bfs(ctx: &RankCtx, g: &DistGraph, source: VertexId, cfg: &BfsCo
 
         // -- deliver the round; survivors (the frontier round's early
         // arrivals included) are the next frontier --
-        q.drain_round(&mut newly);
+        q.drain_round_with(&mut newly, &mut side);
         level += 1;
         fold_frontier(g, &frontier, &visited, &mut newly);
     }
@@ -527,50 +504,40 @@ fn fold_frontier(
     }
 }
 
-/// Generate one level's candidates for the local indices in `range` into
-/// `sink` — the queue itself on the serial path, a worker's shard pusher
-/// on the pool. Returns the adjacency entries inspected.
+/// Generate local vertex `li`'s candidates for level `level + 1` into
+/// `sink`: top-down, a frontier vertex pushes one along every out-edge;
+/// bottom-up, an unvisited vertex pushes one for its first neighbor in the
+/// global frontier. Returns the adjacency entries inspected.
 fn generate(
     sink: &mut impl VisitorPush<DirBfsVisitor>,
     g: &DistGraph,
     dir: Direction,
     level: u64,
-    range: std::ops::Range<usize>,
-    (frontier, visited, global_frontier): (&AtomicBitVec, &AtomicBitVec, &AtomicBitVec),
+    li: usize,
+    global_frontier: &AtomicBitVec,
 ) -> u64 {
-    let mut inspected = 0u64;
+    let v = g.vertex_at(li);
     match dir {
-        Direction::Top => frontier.for_each_set_in(range, |li| {
-            let v = g.vertex_at(li);
-            g.with_adj(v, |adj| {
-                inspected += adj.len() as u64;
-                for &t in adj {
-                    sink.push(DirBfsVisitor {
-                        vertex: VertexId(t),
-                        length: level + 1,
-                        parent: v.0,
-                    });
-                }
-            });
-        }),
-        // Scan each unvisited vertex's local (sorted) adjacency slice for the
-        // first neighbor in the global frontier. Early exit makes the hit the
-        // slice minimum — the determinism anchor for bottom-up parents.
-        // `scan_adj` lets compressed storage stop its gap decoder at the hit
-        // instead of materializing the whole slice; the scanned count (and
-        // so `edges_inspected`) is storage-invariant.
-        Direction::Bottom => {
-            for li in range.filter(|&li| !visited.get(li)) {
-                let v = g.vertex_at(li);
-                let (scanned, hit) = g.scan_adj(v, |t| global_frontier.get(t as usize));
-                inspected += scanned;
-                if let Some(parent) = hit {
-                    sink.push(DirBfsVisitor { vertex: v, length: level + 1, parent });
-                }
+        Direction::Top => g.with_adj(v, |adj| {
+            for &t in adj {
+                sink.push(DirBfsVisitor { vertex: VertexId(t), length: level + 1, parent: v.0 });
             }
+            adj.len() as u64
+        }),
+        // Scan the local (sorted) adjacency slice for the first neighbor in
+        // the global frontier. Early exit makes the hit the slice minimum —
+        // the determinism anchor for bottom-up parents. `scan_adj` lets
+        // compressed storage stop its gap decoder at the hit instead of
+        // materializing the whole slice; the scanned count (and so
+        // `edges_inspected`) is storage-invariant.
+        Direction::Bottom => {
+            let (scanned, hit) = g.scan_adj(v, |t| global_frontier.get(t as usize));
+            if let Some(parent) = hit {
+                sink.push(DirBfsVisitor { vertex: v, length: level + 1, parent });
+            }
+            scanned
         }
     }
-    inspected
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub mod rounds;
 pub mod visitor;
 
 pub use checkpoint::CheckpointSpec;
-pub use direction::{direction_bfs, DirBfsRun, Direction, DirectionConfig, DirectionMode};
+pub use direction::{direction_bfs, DirBfsRun, Direction, DirectionMode};
 pub use lifecycle::{
     bfs_batch_lifecycle, run_bfs_lifecycle, LifecycleBfsResult, QueryLifecycle, QueryOutcome,
 };

@@ -25,6 +25,13 @@
 //! itself: the root broadcasts the abort inside the wave protocol, so
 //! every rank observes `Abort` on the same wave.
 //!
+//! A level has the direction engine's shape: one round to a confirmed cut,
+//! then **one** vector collective carrying each query's world claim and
+//! push counts — which decides Complete and the edge budget, and is the
+//! fence between this cut and the next round's traffic — then the
+//! decisions (Complete, cancels, budgets, in that order), then the
+//! expansion through `VisitorQueue::expand`, the queue's one fan-out.
+//!
 //! Exactly-once expansion across threads is enforced by a *claim*
 //! protocol instead of the asynchronous engine's recompute-in-`visit`
 //! idiom: at a round boundary the depth-`d` state is frozen (arrivals
@@ -42,12 +49,11 @@ use std::time::{Duration, Instant};
 use havoq_comm::{CancelRecord, CutVerdict, Event, RankCtx};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
-use havoq_util::parallel::{AtomicBitVec, LockedSlots, PerWorker, WorkerPool};
 
 use crate::batch::{
     at_batch_width, reduce_per_query, seeded_queue, BatchBfsVisitor, BatchConfig, BatchLedger,
 };
-use crate::queue::{ShardPusher, Side, TraversalStats, VisitorQueue};
+use crate::queue::{Side, TraversalStats};
 use crate::visitor::Visitor;
 
 /// Watchdog threshold used when [`BatchConfig::watchdog_waves`] is unset.
@@ -139,60 +145,6 @@ pub struct LifecycleBfsResult {
     pub elapsed: Duration,
 }
 
-/// Per-worker state of the round fan-out: the staged pushes and the union
-/// of the masks this worker claimed.
-type RoundCell<'g, const K: usize> = (ShardPusher<'g, BatchBfsVisitor<K>>, u64);
-
-/// What one run reuses across rounds to expand frontiers: the worker pool
-/// (a pool of one at `threads == 1` — one broadcast per BFS depth, unlike
-/// the asynchronous loop's one per chunk), its per-slot lock bits and its
-/// per-worker cells.
-struct RoundExec<'g, const K: usize> {
-    pool: WorkerPool,
-    locks: AtomicBitVec,
-    cells: PerWorker<RoundCell<'g, K>>,
-}
-
-/// Execute one round's frontier: claim live masks on the shared state
-/// (exactly-once per (query, vertex, depth)) and expand them, staging
-/// pushes per worker and absorbing them in worker order. Returns the
-/// union of claimed masks on this rank.
-///
-/// Claiming under the slot's bit lock — with retired queries filtered —
-/// yields a claimed union per (vertex, depth) that is independent of
-/// visitor order, because depth-`d` state is frozen during round `d`. The
-/// claim and the expansion are the visitor's own
-/// ([`BatchBfsVisitor::claim`] / [`BatchBfsVisitor::expand`]), so the wire
-/// records and counters are identical in kind to the asynchronous engine's.
-fn execute_round<'g, const K: usize>(
-    q: &mut VisitorQueue<'g, BatchBfsVisitor<K>>,
-    g: &'g DistGraph,
-    exec: &mut RoundExec<'g, K>,
-    newly: &[BatchBfsVisitor<K>],
-    retired: u64,
-) -> u64 {
-    let (state, mut absorb) = q.state_and_absorb();
-    let slots = LockedSlots::new(state, &mut exec.locks);
-    let mut claimed = 0u64;
-    exec.pool.fan_out_blocks(
-        newly,
-        &mut exec.cells,
-        |(sink, mask), vis| {
-            let li = g.local_index(vis.vertex());
-            let live = slots.with(li, |slot| vis.claim(slot, retired));
-            if live != 0 {
-                vis.expand(g, live, sink);
-                *mask |= live;
-            }
-        },
-        |(sink, mask)| {
-            claimed |= std::mem::take(mask);
-            absorb(sink);
-        },
-    );
-    claimed
-}
-
 /// Run up to `K` BFS queries under the lifecycle control plane.
 /// Collective; every rank must pass identical `sources`, `cfg` and
 /// `cancels`.
@@ -230,32 +182,19 @@ pub fn bfs_batch_lifecycle<const K: usize>(
     let (mut q, ledger) = seeded_queue::<K>(ctx, g, sources, cfg.traversal);
     q.arm_watchdog(cfg.watchdog_waves.unwrap_or(DEFAULT_WATCHDOG_WAVES));
     let mut cancel_plane: Side<CancelRecord> = Side::open(ctx, cfg.traversal.mailbox);
-    let pool = WorkerPool::new(cfg.traversal.threads.max(1));
-    let mut exec = RoundExec {
-        cells: PerWorker::new_with(pool.size(), |_| (ShardPusher::new(g), 0u64)),
-        locks: AtomicBitVec::new(g.num_local_vertices()),
-        pool,
-    };
+    let mut workers = q.workers();
 
     let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; width];
     let mut rounds: u64 = 0;
     let mut aborted = false;
     let mut newly: Vec<BatchBfsVisitor<K>> = Vec::new();
-
-    // Round 0 delivery: the seeds merge into per-vertex state and land in
-    // `newly` as the depth-0 frontier.
-    let mut verdict = q.drain_round_with(&mut newly, &mut cancel_plane);
-    // Phase fence: a rank that confirms the seed cut must not inject round-1
-    // traffic (cancel records, depth-1 visitors) while a peer still polls
-    // that cut — the straggler would absorb next-round traffic into its seed
-    // round and the round↔depth mapping would diverge across ranks. Every
-    // later iteration gets this fence from the claimed-mask `all_reduce`.
-    if verdict != CutVerdict::Abort {
-        ctx.all_reduce_sum(0u64);
-    }
+    // each query's world claim count at the previous cut
+    let mut claims_before = vec![0u64; width];
 
     loop {
-        if verdict == CutVerdict::Abort {
+        // Round 0 delivers the seeds; every later round, what the previous
+        // one expanded. The survivors in `newly` are the next frontier.
+        if q.drain_round_with(&mut newly, &mut cancel_plane) == CutVerdict::Abort {
             aborted = true;
             let mut live = 0u64;
             for (qi, o) in outcomes.iter_mut().enumerate() {
@@ -269,8 +208,28 @@ pub fn bfs_batch_lifecycle<const K: usize>(
             break;
         }
 
+        // The level's one collective: per-query claims | per-query pushes,
+        // `width` each, cut-consistent ledger counters. It is also the
+        // phase fence: a rank that confirmed the cut must not inject
+        // next-round traffic (cancel records, depth-`d+1` visitors) while a
+        // peer still polls that cut — the straggler would absorb it into
+        // this round and the round↔depth mapping would diverge across ranks.
+        let snap = ledger.snapshot();
+        let global =
+            ctx.all_reduce_sum_vec([&snap.executed[..width], &snap.pushed[..width]].concat());
+        let (claims, pushes) = global.split_at(width);
+
         // --- lifecycle decisions at this confirmed cut -------------------
-        // 1. Cancels: the cut guarantees every rank holds the same record
+        // 1. Complete: a live query that claimed nothing anywhere in the
+        //    round just ended has an empty frontier — no push can ever
+        //    revive it. (The seed round claims nothing by construction.)
+        for (qi, o) in outcomes.iter_mut().enumerate() {
+            if rounds > 0 && o.is_none() && claims[qi] == claims_before[qi] {
+                *o = Some(QueryOutcome::Complete);
+            }
+        }
+        claims_before.copy_from_slice(claims);
+        // 2. Cancels: the cut guarantees every rank holds the same record
         //    set; application is idempotent per record.
         for rec in cancel_plane.inbox.drain(..) {
             let qi = rec.query as usize;
@@ -280,19 +239,14 @@ pub fn bfs_batch_lifecycle<const K: usize>(
                 q.bump(Event::Cancel);
             }
         }
-        // 2. Budgets: pure functions of the globally agreed round counter
+        // 3. Budgets: pure functions of the globally agreed round counter
         //    and all-reduced per-query edge-push counts.
-        if cfg.max_rounds.is_some() || cfg.max_inspected.is_some() {
-            let global = ctx.all_reduce_sum_vec(ledger.snapshot().pushed[..width].to_vec());
-            for (qi, o) in outcomes.iter_mut().enumerate() {
-                if o.is_none() {
-                    let over_rounds = cfg.max_rounds.is_some_and(|b| rounds >= b);
-                    let over_edges = cfg.max_inspected.is_some_and(|b| global[qi] > b);
-                    if over_rounds || over_edges {
-                        *o = Some(QueryOutcome::DeadlineExceeded);
-                        ledger.retire(1 << qi);
-                    }
-                }
+        for (qi, o) in outcomes.iter_mut().enumerate() {
+            let over_rounds = cfg.max_rounds.is_some_and(|b| rounds >= b);
+            let over_edges = cfg.max_inspected.is_some_and(|b| pushes[qi] > b);
+            if o.is_none() && (over_rounds || over_edges) {
+                *o = Some(QueryOutcome::DeadlineExceeded);
+                ledger.retire(1 << qi);
             }
         }
         if outcomes.iter().all(|o| o.is_some()) {
@@ -312,24 +266,22 @@ pub fn bfs_batch_lifecycle<const K: usize>(
             }
         }
 
-        // --- expand the confirmed frontier (exactly-once claims) ---------
+        // --- expand the confirmed frontier: claim live masks under the
+        //     slot lock (exactly once per (query, vertex, depth), retired
+        //     queries filtered — depth-`d` state is frozen during round
+        //     `d`, so the claimed set is independent of visitor order) and
+        //     scan on their behalf with the visitor's own `claim` /
+        //     `expand`, so the wire records and ledger match the
+        //     asynchronous engine's in kind --------------------------------
         let retired = ledger.retired_mask();
-        let claimed_local = execute_round(&mut q, g, &mut exec, &newly, retired);
-        newly.clear();
-        verdict = q.drain_round_with(&mut newly, &mut cancel_plane);
-        rounds += 1;
-        if verdict == CutVerdict::Abort {
-            continue;
-        }
-        // A live query that claimed nothing anywhere this round has an
-        // empty frontier: no push can ever revive it. (Collective; every
-        // rank computes the same verdicts from the same reduced mask.)
-        let claimed_global = ctx.all_reduce(claimed_local, |a, b| a | b);
-        for (qi, o) in outcomes.iter_mut().enumerate() {
-            if o.is_none() && claimed_global & (1 << qi) == 0 {
-                *o = Some(QueryOutcome::Complete);
+        q.expand(&mut workers, &newly, |slots, sink, _, vis| {
+            let live = slots.with(g.local_index(vis.vertex()), |slot| vis.claim(slot, retired));
+            if live != 0 {
+                vis.expand(g, live, sink);
             }
-        }
+        });
+        newly.clear();
+        rounds += 1;
     }
 
     // --- globally agreed per-query results (masters only) ----------------
@@ -445,5 +397,31 @@ mod tests {
             assert_eq!(r.stats.events[Event::Cancel], 1, "rank {rank} applied the one record");
             assert_eq!(r.stats.events[Event::Abort], 0, "rank {rank}");
         }
+    }
+
+    /// Where two decisions land on one cut, they apply in a fixed order:
+    /// Complete, then cancels, then budgets. A cancel scheduled at round
+    /// `r` is confirmed at the cut ending round `r + 1`; a query of depth
+    /// `e` claims its last level in round `e + 1`, so the cut ending round
+    /// `e + 2` finds its frontier empty.
+    #[test]
+    fn decisions_at_one_cut_apply_complete_then_cancels_then_budgets() {
+        let outcome = |cfg: BatchConfig, cancels: Vec<(usize, u64)>, qi: usize| {
+            let runs = lifecycle_run(2, 1, cfg, cancels);
+            assert_eq!(runs[0].queries, runs[1].queries, "ranks agree");
+            runs[0].queries[qi].outcome
+        };
+        let free = lifecycle_run(2, 1, BatchConfig::default(), vec![]);
+        let (qi, depth) =
+            (0..6).map(|qi| (qi, free[0].queries[qi].max_level)).max_by_key(|&(_, d)| d).unwrap();
+        assert!(depth >= 2, "a query deeper than the round budget below");
+        let unbudgeted = BatchConfig::default();
+        // (a) the frontier empties in the round that confirms the cancel
+        assert_eq!(outcome(unbudgeted, vec![(qi, depth + 1)], qi), QueryOutcome::Complete);
+        assert_eq!(outcome(unbudgeted, vec![(qi, depth)], qi), QueryOutcome::Cancelled);
+        // (b) the round budget expires at the cut that confirms the cancel
+        let capped = BatchConfig::default().with_max_rounds(2);
+        assert_eq!(outcome(capped, vec![], qi), QueryOutcome::DeadlineExceeded);
+        assert_eq!(outcome(capped, vec![(qi, 1)], qi), QueryOutcome::Cancelled);
     }
 }

@@ -18,7 +18,14 @@
 //! expand survivors themselves — and what a confirmed quiescence cut means
 //! is a `CutPolicy`: terminate, checkpoint after a visitor budget
 //! (`do_traversal_checkpointed`), or return after one round
-//! (`drain_round`). Both are picked from what the caller already passes.
+//! (`drain_round_with`). Both are picked from what the caller already
+//! passes.
+//!
+//! Fanning work out to the worker pool is written once too: `expand` runs
+//! a list of items on a traversal's `Workers`, staging pushes per worker,
+//! and absorbs them in worker order through the serial push path. The pool
+//! executor, the direction engine's candidate generation and the lifecycle
+//! engine's claims all call it.
 //!
 //! Visitors with equal algorithm priority are ordered by vertex id, the
 //! Section V-A locality optimization that makes semi-external adjacency
@@ -43,7 +50,6 @@ use havoq_nvram::{CacheStatsSnapshot, IoStatsSnapshot};
 use havoq_util::parallel::{AtomicBitVec, LockedSlots, PerWorker, WorkerPool};
 
 use crate::checkpoint::{CheckpointLog, CheckpointSpec, QueueCheckpoint, QueueCounters};
-use crate::direction::DirectionConfig;
 use crate::ghost::GhostTable;
 use crate::visitor::{Role, Visitor, VisitorPush};
 
@@ -72,22 +78,11 @@ pub struct TraversalConfig {
     /// mailbox, quiescence and checkpoint paths stay on the coordinator
     /// thread, so the wire format and integrity counters are unchanged.
     pub threads: usize,
-    /// Direction-optimizing traversal knobs (BFS only): forced or
-    /// heuristic top-down/bottom-up switching with Beamer-style
-    /// alpha/beta thresholds. The default mode keeps the historical
-    /// asynchronous visitor loop (DESIGN.md §13).
-    pub direction: DirectionConfig,
 }
 
 impl Default for TraversalConfig {
     fn default() -> Self {
-        Self {
-            ghosts: 256,
-            mailbox: MailboxConfig::default(),
-            locality_order: true,
-            threads: 1,
-            direction: DirectionConfig::default(),
-        }
+        Self { ghosts: 256, mailbox: MailboxConfig::default(), locality_order: true, threads: 1 }
     }
 }
 
@@ -95,12 +90,6 @@ impl TraversalConfig {
     /// Builder: set the intra-rank worker thread count (clamped to ≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Builder: set the direction-optimizing traversal mode.
-    pub fn with_direction(mut self, mode: crate::direction::DirectionMode) -> Self {
-        self.direction.mode = mode;
         self
     }
 }
@@ -230,24 +219,25 @@ pub struct VisitorQueue<'g, V: Visitor + WireCodec> {
 /// `threads` picks inline or pool, a level-synchronous engine parks.
 enum Executor<'a, 'g, V: Visitor + WireCodec> {
     /// `threads == 1`: run `visit` on the real state slot, on this thread.
-    /// Not a pool of one: `WorkerPool::broadcast` always hands the job to
-    /// other threads and waits, a condvar round trip per `POLL_BATCH`
-    /// visitors (DESIGN.md "The driver").
+    /// A pool of one would also run here, but would still lock each slot,
+    /// copy a seed out and merge it back, and stage every push (DESIGN.md
+    /// "The driver").
     Inline,
-    /// `threads > 1`: fan each chunk out to the worker pool (DESIGN.md §11).
-    Pool(PoolExec<'g, V>),
+    /// `threads > 1`: [`VisitorQueue::expand`] each chunk on the workers
+    /// (DESIGN.md §11); the vec is the reused chunk buffer.
+    Pool(Workers<'g, V>, Vec<V>),
     /// Move survivors into the vec, in heap order, without running `visit`:
     /// the engine expands them itself after the round's cut.
     Park(&'a mut Vec<V>),
 }
 
-/// The worker pool of one parallel traversal and what it reuses between
-/// chunks: per-slot lock bits, per-worker push sinks, the chunk buffer.
-struct PoolExec<'g, V: Visitor + WireCodec> {
+/// What one traversal reuses for every [`VisitorQueue::expand`]: the
+/// worker pool (a pool of one runs on the calling thread), one lock bit
+/// per state slot, and per worker a push sink beside a `u64` tally.
+pub(crate) struct Workers<'g, V: Visitor + WireCodec> {
     pool: WorkerPool,
     locks: AtomicBitVec,
-    sinks: PerWorker<ShardPusher<'g, V>>,
-    chunk: Vec<V>,
+    cells: PerWorker<(ShardPusher<'g, V>, u64)>,
 }
 
 /// What a confirmed quiescence cut means to the driver.
@@ -437,7 +427,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         };
         let chunk_cap = match exec {
             Executor::Inline => POLL_BATCH,
-            Executor::Pool(px) => POLL_BATCH.saturating_mul(px.pool.size()).max(1),
+            Executor::Pool(w, _) => POLL_BATCH.saturating_mul(w.pool.size()),
             Executor::Park(_) => usize::MAX,
         };
         let mut executed_since = 0u64;
@@ -450,7 +440,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
                 chunk_cap.min(usize::try_from(budget - executed_since).unwrap_or(usize::MAX));
             executed_since += match exec {
                 Executor::Inline => self.run_inline(limit),
-                Executor::Pool(px) => self.run_pool(px, limit),
+                Executor::Pool(w, chunk) => self.run_pool(w, chunk, limit),
                 Executor::Park(newly) => self.park(newly, limit),
             } as u64;
             let due = executed_since >= budget;
@@ -502,39 +492,69 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         executed
     }
 
-    /// Pool executor: pop up to `limit` visitors and execute them on the
-    /// worker pool; returns the number executed. Workers claim blocks of
-    /// the chunk, guard each per-vertex state slot with a bit lock only
-    /// while copying the `visit_seed` out and while `merge`-ing the result
-    /// back (never across the `visit` call itself, which may block on
-    /// semi-external page fills), and stage every push in a per-worker
-    /// [`ShardPusher`]. After the pool quiesces the coordinator absorbs the
-    /// shards in worker order through the exact ghost-filter + mailbox
-    /// path a serial push takes: visitor-level interleaving inside a chunk
-    /// is scheduling-dependent, but everything that reaches the wire does
-    /// so from that single-threaded, deterministic drain.
-    fn run_pool(&mut self, px: &mut PoolExec<'g, V>, limit: usize) -> usize {
-        px.chunk.clear();
-        while px.chunk.len() < limit {
+    /// Pool executor: pop up to `limit` visitors into `chunk` and
+    /// [`Self::expand`] them; returns the number executed. A worker holds a
+    /// visitor's slot lock only while copying the `visit_seed` out and
+    /// while `merge`-ing the result back, never across `visit` itself,
+    /// which may block on semi-external page fills.
+    fn run_pool(&mut self, w: &mut Workers<'g, V>, chunk: &mut Vec<V>, limit: usize) -> usize {
+        chunk.clear();
+        while chunk.len() < limit {
             let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
-            px.chunk.push(vis);
+            chunk.push(vis);
         }
-        let Self { g, mailbox, ghosts, state, stats, .. } = self;
-        let g = *g;
-        let slots = LockedSlots::new(state, &mut px.locks);
-        px.pool.fan_out_blocks(
-            &px.chunk,
-            &mut px.sinks,
-            |sink, vis| {
-                let li = g.local_index(vis.vertex());
-                let mut seed = slots.with(li, |slot| V::visit_seed(slot));
-                vis.visit(g, &mut seed, sink);
-                slots.with(li, |slot| V::merge(slot, &seed));
+        let g = self.g;
+        self.expand(w, chunk, |slots, sink, _, vis| {
+            let li = g.local_index(vis.vertex());
+            let mut seed = slots.with(li, |slot| V::visit_seed(slot));
+            vis.visit(g, &mut seed, sink);
+            slots.with(li, |slot| V::merge(slot, &seed));
+        });
+        self.stats.visitors_executed += chunk.len() as u64;
+        chunk.len()
+    }
+
+    /// The workers [`Self::expand`] runs on, `cfg.threads` of them (a
+    /// `threads` of 0 set on the field directly counts as 1).
+    pub(crate) fn workers(&self) -> Workers<'g, V> {
+        let pool = WorkerPool::new(self.cfg.threads.max(1));
+        let cells = PerWorker::new_with(pool.size(), |_| (ShardPusher::new(self.g), 0));
+        Workers { pool, locks: AtomicBitVec::new(self.state.len()), cells }
+    }
+
+    /// The one frontier expansion (DESIGN.md §11): run `work(slots, sink,
+    /// tally, item)` for every item on the workers, which claim 16-item
+    /// blocks, then absorb each worker's staged pushes in worker order
+    /// (a pool of one: after every block) through the tail of the serial
+    /// push path — push count, ghost filter, mailbox — on this thread.
+    /// `slots` is the per-vertex state, each slot under its bit lock.
+    /// Interleaving among workers is scheduling-dependent, but everything
+    /// that reaches the wire does so from this single-threaded drain.
+    /// Returns the sum of the tallies.
+    pub(crate) fn expand<I: Sync>(
+        &mut self,
+        w: &mut Workers<'g, V>,
+        items: &[I],
+        work: impl Fn(&LockedSlots<'_, V::Data>, &mut ShardPusher<'g, V>, &mut u64, &I) + Sync,
+    ) -> u64 {
+        let Self { mailbox, ghosts, state, stats, .. } = self;
+        let slots = LockedSlots::new(state, &mut w.locks);
+        let mut total = 0;
+        w.pool.fan_out_blocks(
+            items,
+            &mut w.cells,
+            |(sink, tally), item| work(&slots, sink, tally, item),
+            |(sink, tally)| {
+                total += std::mem::take(tally);
+                stats.visitors_pushed += std::mem::take(&mut sink.pushed);
+                for (dst, visitor) in sink.shard.drain() {
+                    if ghost_pass::<V>(ghosts, stats, &visitor) {
+                        mailbox.send(dst, visitor);
+                    }
+                }
             },
-            |sink| absorb_shard(mailbox, ghosts, stats, sink),
         );
-        stats.visitors_executed += px.chunk.len() as u64;
-        px.chunk.len()
+        total
     }
 
     /// Park executor: move up to `limit` visitors into `newly` in heap
@@ -553,10 +573,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     /// The executor `cfg.threads` selects for an asynchronous traversal.
     fn executor(&self) -> Executor<'static, 'g, V> {
         if self.cfg.threads > 1 {
-            let pool = WorkerPool::new(self.cfg.threads);
-            let sinks = PerWorker::new_with(pool.size(), |_| ShardPusher::new(self.g));
-            let locks = AtomicBitVec::new(self.state.len());
-            Executor::Pool(PoolExec { pool, locks, sinks, chunk: Vec::new() })
+            Executor::Pool(self.workers(), Vec::new())
         } else {
             Executor::Inline
         }
@@ -570,13 +587,14 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     }
 
     /// Drive one level-synchronous *round* to a confirmed global cut
-    /// (direction-optimizing engine, DESIGN.md §13). Polls the mailbox,
-    /// pre-visits and replica-forwards arrivals exactly like the
+    /// (direction engine, DESIGN.md §13; lifecycle engine, §15). Polls the
+    /// mailbox, pre-visits and replica-forwards arrivals exactly like the
     /// asynchronous traversal, but parks every surviving visitor into
-    /// `newly` instead of executing its `visit`. Returns once a
-    /// non-terminal consistent cut confirms: every candidate sent anywhere
-    /// this round has been delivered, pre-visited and (where it improved
-    /// state) forwarded down its replica chain, and nothing is in flight.
+    /// `newly` instead of executing its `visit`; `side` is settled under
+    /// the same cut. Returns [`CutVerdict::Cut`] once a non-terminal
+    /// consistent cut confirms — every candidate and side record sent
+    /// anywhere this round has been delivered, and nothing is in flight —
+    /// or the stall watchdog's [`CutVerdict::Abort`] if it is armed.
     ///
     /// Collective: every rank must drain the same number of rounds. A rank
     /// that confirms round `k` first may inject round-`k+1` traffic while a
@@ -585,14 +603,6 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     /// between two rounds (the engines' per-level all-reduce), or keeps
     /// `newly` across them because both feed the same frontier (the
     /// direction engine's frontier-word round and the level's own).
-    pub(crate) fn drain_round(&mut self, newly: &mut Vec<V>) {
-        let verdict = self.drive::<V>(&mut Executor::Park(newly), CutPolicy::Round, None);
-        debug_assert_eq!(verdict, CutVerdict::Cut);
-    }
-
-    /// Like [`Self::drain_round`], but co-settles `side` under the same
-    /// cut and surfaces the stall watchdog's [`CutVerdict::Abort`]
-    /// (lifecycle engine, DESIGN.md §15; direction engine, §13).
     pub(crate) fn drain_round_with<C: Send + WireCodec + 'static>(
         &mut self,
         newly: &mut Vec<V>,
@@ -609,13 +619,6 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         self.quiescence.arm_watchdog(waves);
     }
 
-    /// Absorb a worker-staged shard through the ghost filter + mailbox, in
-    /// coordinator context (the engines' own fan-outs; the same drain
-    /// [`Self::run_pool`] ends with).
-    pub(crate) fn absorb(&mut self, sink: &mut ShardPusher<'g, V>) {
-        absorb_shard(&mut self.mailbox, &mut self.ghosts, &mut self.stats, sink);
-    }
-
     /// Count one per-rank event against the traversal's own channel; it
     /// comes back in `stats().events`.
     pub(crate) fn bump(&self, ev: Event) {
@@ -626,17 +629,6 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     /// layered on the queue (the direction engine's inspection counters).
     pub(crate) fn stats_mut(&mut self) -> &mut TraversalStats {
         &mut self.stats
-    }
-
-    /// Split borrow for same-crate engines that claim and expand frontier
-    /// slots themselves (the lifecycle engine's exactly-once claim
-    /// protocol, DESIGN.md §15): the per-vertex state slice, beside the
-    /// [`Self::absorb`] that drains what their workers staged.
-    pub(crate) fn state_and_absorb(
-        &mut self,
-    ) -> (&mut [V::Data], impl FnMut(&mut ShardPusher<'g, V>) + '_) {
-        let Self { state, mailbox, ghosts, stats, .. } = self;
-        (state, move |sink| absorb_shard(mailbox, ghosts, stats, sink))
     }
 }
 
@@ -872,7 +864,7 @@ impl<'a, V: Visitor + WireCodec> VisitorPush<V> for Pusher<'a, V> {
 /// Worker-side push sink: resolves the destination rank immediately (the
 /// graph's ownership map is immutable and thread-safe) and stages the
 /// visitor in its own [`SendShard`], deferring the ghost filter and the
-/// mailbox — both single-threaded — to the coordinator's absorb pass.
+/// mailbox — both single-threaded — to [`VisitorQueue::expand`]'s absorb.
 pub(crate) struct ShardPusher<'g, V: Visitor + WireCodec> {
     g: &'g DistGraph,
     shard: SendShard<V>,
@@ -880,7 +872,7 @@ pub(crate) struct ShardPusher<'g, V: Visitor + WireCodec> {
 }
 
 impl<'g, V: Visitor + WireCodec> ShardPusher<'g, V> {
-    pub(crate) fn new(g: &'g DistGraph) -> Self {
+    fn new(g: &'g DistGraph) -> Self {
         Self { g, shard: SendShard::default(), pushed: 0 }
     }
 }
@@ -889,22 +881,6 @@ impl<'g, V: Visitor + WireCodec> VisitorPush<V> for ShardPusher<'g, V> {
     fn push(&mut self, visitor: V) {
         self.pushed += 1;
         self.shard.send(self.g.min_owner(visitor.vertex()), visitor);
-    }
-}
-
-/// Drain one worker's staged pushes, in staging order, through the tail of
-/// the serial push path (push count, ghost filter, mailbox).
-fn absorb_shard<V: Visitor + WireCodec>(
-    mailbox: &mut Mailbox<V>,
-    ghosts: &mut GhostTable<V::Data>,
-    stats: &mut TraversalStats,
-    sink: &mut ShardPusher<'_, V>,
-) {
-    stats.visitors_pushed += std::mem::take(&mut sink.pushed);
-    for (dst, visitor) in sink.shard.drain() {
-        if ghost_pass::<V>(ghosts, stats, &visitor) {
-            mailbox.send(dst, visitor);
-        }
     }
 }
 
@@ -1384,7 +1360,7 @@ mod tests {
                     GraphConfig::default(),
                 );
                 let traversal = TraversalConfig { ghosts, ..Default::default() };
-                let b = bfs(ctx, &g, VertexId(0), &BfsConfig { traversal, checkpoint: None });
+                let b = bfs(ctx, &g, VertexId(0), &BfsConfig { traversal, ..Default::default() });
                 let c = connected_components(ctx, &g, &CcConfig { traversal, checkpoint: None });
                 (b.stats, b.local_state, c.stats, c.local_state)
             })

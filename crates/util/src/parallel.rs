@@ -9,7 +9,8 @@
 //! - [`WorkerPool`]: a persistent pool with a scoped `broadcast` — every
 //!   worker runs the same closure (borrowing from the caller's stack) and
 //!   `broadcast` does not return until all of them finish, so plain
-//!   references into the coordinator's frame are sound to share.
+//!   references into the coordinator's frame are sound to share. A pool
+//!   of one spawns no thread: its worker is the caller.
 //! - [`AtomicBitVec`]: a bit-per-index atomic bitmap, usable both as a
 //!   visited/dirty set (`test_and_set`) and as an array of one-bit
 //!   spinlocks (`lock`/`unlock`) guarding per-vertex state slots.
@@ -218,7 +219,7 @@ pub struct PerWorker<T> {
 }
 
 // SAFETY: the only shared access is `cell`, private to this module and
-// called only from `WorkerPool::fan_out`, which gives each worker thread a
+// called only from `WorkerPool::fan_out`, which gives each worker a
 // distinct index; `T: Send` because the cell is then mutated off-thread.
 unsafe impl<T: Send> Sync for PerWorker<T> {}
 
@@ -290,13 +291,17 @@ struct PoolShared {
 /// all of them return, so the closure may borrow freely from the caller's
 /// stack. A worker panic is captured and re-raised on the caller's thread
 /// after the remaining workers finish. Dropping the pool joins the threads.
+///
+/// A pool of one spawns no thread: its single worker is the caller, and
+/// `broadcast` is a plain call, with no lock, condvar or wake-up.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// Spawn a pool of `threads` workers (`threads >= 1`).
+    /// Spawn a pool of `threads` workers (`threads >= 1`); worker 0 of a
+    /// pool of one is the calling thread.
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1, "a worker pool needs at least one worker");
         let shared = Arc::new(PoolShared {
@@ -310,7 +315,8 @@ impl WorkerPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        let handles = (0..threads)
+        let spawned = if threads == 1 { 0 } else { threads };
+        let handles = (0..spawned)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -325,7 +331,7 @@ impl WorkerPool {
     /// Number of workers.
     #[inline]
     pub fn size(&self) -> usize {
-        self.handles.len()
+        self.handles.len().max(1)
     }
 
     fn worker_loop(shared: &PoolShared, w: usize) {
@@ -363,8 +369,12 @@ impl WorkerPool {
     }
 
     /// Run `f(worker_index)` on every worker concurrently; blocks until
-    /// all workers have returned. Re-raises the first worker panic.
+    /// all workers have returned. Re-raises the first worker panic. A pool
+    /// of one runs `f(0)` on the calling thread.
     pub fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
+        if self.handles.is_empty() {
+            return f(0);
+        }
         // SAFETY: the transmute only erases the closure's lifetime; the
         // fat pointer keeps its vtable. This function does not return
         // until every worker is done with the pointer, so no use outlives
@@ -402,11 +412,13 @@ impl WorkerPool {
         assert_eq!(cells.len(), self.size(), "one cell per worker");
         let shared: &PerWorker<T> = cells;
         self.broadcast(&|w| {
-            // SAFETY: `broadcast` runs this closure once on each worker
-            // thread with that worker's own index `w < size() ==
-            // cells.len()`, so no two threads share a cell, and the `&mut
-            // PerWorker` this function holds keeps every other access out
-            // until `broadcast` has joined all workers.
+            // SAFETY: `broadcast` runs this closure exactly once per index
+            // `w < size() == cells.len()`, each call on its own thread (a
+            // spawned worker's, or the caller's own for a pool of one, where
+            // `w == 0` is the only call), so no two calls share a cell; and
+            // the `&mut PerWorker` this function holds keeps every other
+            // access out until `broadcast` has returned, i.e. joined every
+            // worker or finished the caller's one call.
             work(w, unsafe { shared.cell(w) })
         });
         cells.iter_mut().for_each(absorb);
@@ -415,17 +427,31 @@ impl WorkerPool {
     /// [`Self::fan_out`] over a slice: workers claim blocks of `items` off
     /// a shared cursor and run `work(&mut cells[w], item)` on each. With no
     /// items nothing runs, `absorb` included.
+    ///
+    /// A pool of one runs the blocks in order and absorbs its cell after
+    /// each one: the same items absorbed in the same order as one absorb at
+    /// the end, but with at most one block's output staged at a time (and a
+    /// panic surfaces after the earlier blocks were absorbed).
     pub fn fan_out_blocks<I: Sync, T: Send>(
         &self,
         items: &[I],
         cells: &mut PerWorker<T>,
         work: impl Fn(&mut T, &I) + Sync,
-        absorb: impl FnMut(&mut T),
+        mut absorb: impl FnMut(&mut T),
     ) {
         // Small blocks keep load balance when per-item cost varies (page
         // faults, skewed degrees) without cursor contention.
         const BLOCK: usize = 16;
         if items.is_empty() {
+            return;
+        }
+        if self.handles.is_empty() {
+            assert_eq!(cells.len(), 1, "one cell per worker");
+            let cell = cells.cells[0].0.get_mut();
+            for block in items.chunks(BLOCK) {
+                block.iter().for_each(|item| work(cell, item));
+                absorb(cell);
+            }
             return;
         }
         let cursor = AtomicUsize::new(0);
@@ -541,12 +567,47 @@ mod tests {
         assert_eq!(ok.load(Ordering::Relaxed), 2);
     }
 
+    /// A pool of one is the caller: no thread is spawned, the job runs on
+    /// the calling thread, its panic unwinds straight out of `broadcast`
+    /// (and out of `fan_out` before any absorb), an empty `fan_out_blocks`
+    /// absorbs nothing, and a non-empty one absorbs block by block.
+    #[test]
+    fn pool_of_one_runs_on_the_calling_thread() {
+        let pool = WorkerPool::new(1);
+        assert_eq!(pool.size(), 1);
+        assert!(pool.handles.is_empty(), "no OS thread spawned");
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        pool.broadcast(&|w| ran_on.lock().unwrap().push((w, std::thread::current().id())));
+        assert_eq!(ran_on.into_inner().unwrap(), [(0, caller)]);
+
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            pool.broadcast(&|_| panic!("deliberate failure on the caller"));
+        }));
+        assert!(res.is_err());
+        let mut cells: PerWorker<u64> = PerWorker::new_with(1, |_| 0);
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            pool.fan_out(&mut cells, |_, _| panic!("deliberate"), |_| panic!("absorbed"));
+        }));
+        assert!(res.is_err());
+
+        pool.fan_out_blocks(&[] as &[u32], &mut cells, |c, _| *c += 1, |_| panic!("absorbed"));
+        // the cell is absorbed after every 16-item block, in order
+        let items: Vec<u64> = (1..=40).collect();
+        let mut absorbed = Vec::new();
+        let take = |c: &mut u64| absorbed.push(std::mem::take(c));
+        pool.fan_out_blocks(&items, &mut cells, |c, x| *c += x, take);
+        assert_eq!(absorbed, [136, 392, 292], "the pool survives its job's panics");
+    }
+
     /// Stress test for the two helpers that own this file's worker-side
     /// `unsafe` (`fan_out` → `PerWorker::cell`, `LockedSlots::with`).
     ///
     /// The safety argument, in one place. (1) `fan_out` hands cell `w` to
-    /// worker `w` only, and holds `&mut PerWorker` across the broadcast, so
-    /// each cell has one writer and the coordinator reads after the join.
+    /// the one call with index `w` only — on worker `w`'s thread, or on the
+    /// caller's for a pool of one — and holds `&mut PerWorker` across the
+    /// broadcast, so each cell has one writer and the coordinator reads
+    /// after the join.
     /// (2) `LockedSlots::with` admits one thread per slot: the bit lock is
     /// taken AcqRel and released Release, the slice and the lock bits are
     /// both borrowed `&mut` for the view's lifetime so no other path to

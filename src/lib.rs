@@ -67,9 +67,7 @@ pub mod prelude {
         bfs_batch, reach_batch, AdmissionQueue, Arrival, BatchBfsResult, BatchConfig, BatchLedger,
         QueryBatch, ShedPolicy, MAX_BATCH,
     };
-    pub use havoq_core::direction::{
-        direction_bfs, DirBfsRun, Direction, DirectionConfig, DirectionMode,
-    };
+    pub use havoq_core::direction::{direction_bfs, DirBfsRun, Direction, DirectionMode};
     pub use havoq_core::lifecycle::{
         bfs_batch_lifecycle, run_bfs_lifecycle, LifecycleBfsResult, QueryLifecycle, QueryOutcome,
     };

@@ -587,7 +587,7 @@ impl RankRun<'_> {
                 _ => spec,
             }
         });
-        let bcfg = BfsConfig { traversal, checkpoint };
+        let bcfg = BfsConfig { traversal, checkpoint, ..BfsConfig::default() };
         let batch = BatchConfig { traversal, checkpoint, ..BatchConfig::default() };
         let sources: Vec<VertexId> = (0..c.engine.queries() as u64).map(VertexId).collect();
         match c.engine {
@@ -688,7 +688,7 @@ impl RankRun<'_> {
 
     fn suite(&mut self, bcfg: BfsConfig) -> SuiteFp {
         let (ctx, g, graph) = (self.ctx, self.g, self.cell.graph);
-        let BfsConfig { traversal, checkpoint } = bcfg;
+        let BfsConfig { traversal, checkpoint, .. } = bcfg;
         let source = graph.source();
         let b = bfs(ctx, g, source, &bcfg);
         self.track("bfs", &b.stats);
