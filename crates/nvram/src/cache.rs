@@ -222,6 +222,7 @@ struct CacheCounters {
     fault_waits: AtomicU64,
     wb_coalesced: AtomicU64,
     dropped_prefetches: AtomicU64,
+    advise_resident: AtomicU64,
     io_stall_ns: AtomicU64,
     evict_stall_ns: AtomicU64,
     page_checksum_failures: AtomicU64,
@@ -285,9 +286,12 @@ impl CacheCore {
             .collect();
         // Bound on queued requests: the device's `concurrency_hint()` clamped
         // to `8..=128`, so queue depth tracks the simulated NAND channel
-        // parallelism. Background worker threads: `min(queue depth, 4)`.
+        // parallelism. Background worker threads: `min(queue depth, 4,
+        // available_parallelism)` — a worker beyond the host's cores only
+        // adds context switches to every wake-up.
         let depth = device.concurrency_hint().clamp(8, 128);
-        let workers = if cfg.io.mode == IoMode::Async { depth.min(4) } else { 0 };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = if cfg.io.mode == IoMode::Async { depth.min(4).min(cores) } else { 0 };
         let page_crcs = (0..cfg.shards).map(|_| Mutex::new(FxHashMap::default())).collect();
         Self {
             device,
@@ -644,11 +648,19 @@ impl CacheCore {
                 self.stall(t);
             }
             IoMode::Async => {
-                if self.io.try_push(IoRequest::Prefetch { first, count }).is_err() {
-                    self.counters.dropped_prefetches.fetch_add(1, Ordering::Relaxed);
-                }
+                self.push_prefetch(first, count);
             }
         }
+    }
+
+    /// Queue a background prefetch; false, counted as dropped, when the
+    /// queue is saturated (a hint; demand faults cope).
+    fn push_prefetch(&self, first: u64, count: usize) -> bool {
+        let queued = self.io.try_push(IoRequest::Prefetch { first, count }).is_ok();
+        if !queued {
+            self.counters.dropped_prefetches.fetch_add(1, Ordering::Relaxed);
+        }
+        queued
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) {
@@ -791,8 +803,16 @@ impl PageCache {
     }
 
     /// Hint that `offset .. offset + len` will be read soon. In async
-    /// mode, issues background prefetch for the covered pages and returns
-    /// immediately; a no-op in sync mode.
+    /// mode, queues background prefetch for the covered pages that are
+    /// absent and returns immediately; a no-op in sync mode.
+    ///
+    /// Each page is looked up under its shard lock. A page that is cached,
+    /// or already being filled, is counted in
+    /// [`CacheStatsSnapshot::advise_resident`] and skipped; each run of
+    /// absent pages becomes one or more requests of at most
+    /// `ADVISE_CHUNK_PAGES`. A hint over a fully resident range never
+    /// touches the I/O queue. A page can still arrive between this check
+    /// and the worker's claim pass; the claim pass skips it then.
     pub fn advise(&self, offset: u64, len: u64) {
         if self.core.cfg.io.mode != IoMode::Async || len == 0 {
             return;
@@ -802,19 +822,32 @@ impl PageCache {
         // the extent would burn bounded-queue slots and skew the depth
         // histogram only to no-op inside the worker.
         let total = self.core.total_pages();
-        let mut page = offset / ps;
-        if total == 0 || page >= total {
+        let first = offset / ps;
+        if total == 0 || first >= total {
             return;
         }
         let last = ((offset + len - 1) / ps).min(total - 1);
-        while page <= last {
-            let count = ((last - page + 1) as usize).min(ADVISE_CHUNK_PAGES);
-            if self.core.io.try_push(IoRequest::Prefetch { first: page, count }).is_err() {
-                // queue is saturated: stop hinting, demand faults cope
-                self.core.counters.dropped_prefetches.fetch_add(1, Ordering::Relaxed);
-                return;
+        // Absent pages counted so far that end just before `page`.
+        let mut run = 0usize;
+        for page in first..=last {
+            if self.core.shard_of(page).lock().map.contains_key(&page) {
+                self.core.counters.advise_resident.fetch_add(1, Ordering::Relaxed);
+                if run > 0 && !self.core.push_prefetch(page - run as u64, run) {
+                    return;
+                }
+                run = 0;
+            } else {
+                run += 1;
+                if run == ADVISE_CHUNK_PAGES {
+                    if !self.core.push_prefetch(page + 1 - run as u64, run) {
+                        return;
+                    }
+                    run = 0;
+                }
             }
-            page += count as u64;
+        }
+        if run > 0 {
+            self.core.push_prefetch(last + 1 - run as u64, run);
         }
     }
 
@@ -841,6 +874,7 @@ impl PageCache {
             fault_waits: c.fault_waits.load(Ordering::Relaxed),
             wb_coalesced: c.wb_coalesced.load(Ordering::Relaxed),
             dropped_prefetches: c.dropped_prefetches.load(Ordering::Relaxed),
+            advise_resident: c.advise_resident.load(Ordering::Relaxed),
             io_stall_ns: c.io_stall_ns.load(Ordering::Relaxed),
             evict_stall_ns: c.evict_stall_ns.load(Ordering::Relaxed),
             page_checksum_failures: c.page_checksum_failures.load(Ordering::Relaxed),
@@ -865,6 +899,7 @@ impl PageCache {
         c.fault_waits.store(0, Ordering::Relaxed);
         c.wb_coalesced.store(0, Ordering::Relaxed);
         c.dropped_prefetches.store(0, Ordering::Relaxed);
+        c.advise_resident.store(0, Ordering::Relaxed);
         c.io_stall_ns.store(0, Ordering::Relaxed);
         c.evict_stall_ns.store(0, Ordering::Relaxed);
         c.page_checksum_failures.store(0, Ordering::Relaxed);
@@ -917,6 +952,9 @@ pub struct CacheStatsSnapshot {
     pub wb_coalesced: u64,
     /// Prefetch requests dropped (queue full) or released (no free frame).
     pub dropped_prefetches: u64,
+    /// Pages an [`PageCache::advise`] hint found cached or already being
+    /// filled, and so did not queue.
+    pub advise_resident: u64,
     /// Time callers spent blocked on I/O: demand fills, waits on in-flight
     /// fills, and (sync mode) inline readahead.
     pub io_stall_ns: u64,
@@ -945,6 +983,7 @@ impl CacheStatsSnapshot {
             fault_waits: self.fault_waits.saturating_sub(before.fault_waits),
             wb_coalesced: self.wb_coalesced.saturating_sub(before.wb_coalesced),
             dropped_prefetches: self.dropped_prefetches.saturating_sub(before.dropped_prefetches),
+            advise_resident: self.advise_resident.saturating_sub(before.advise_resident),
             io_stall_ns: self.io_stall_ns.saturating_sub(before.io_stall_ns),
             evict_stall_ns: self.evict_stall_ns.saturating_sub(before.evict_stall_ns),
             page_checksum_failures: self
@@ -1543,6 +1582,111 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.prefetches, 4, "{s:?}");
         assert_eq!(s.dropped_prefetches, 0, "{s:?}");
+    }
+
+    fn async_cache(dev: Arc<dyn BlockDevice>, capacity_pages: usize) -> PageCache {
+        PageCache::new(
+            dev,
+            PageCacheConfig {
+                page_size: 64,
+                capacity_pages,
+                shards: 2,
+                io: IoConfig::asynchronous(),
+                ..PageCacheConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn advise_over_resident_range_queues_nothing() {
+        let dev = Arc::new(MemDevice::new());
+        dev.write_at(0, &[3u8; 8 * 64]);
+        let c = async_cache(dev, 16);
+        c.advise(0, 8 * 64);
+        c.flush();
+        assert_eq!(c.stats().prefetches, 8, "{:?}", c.stats());
+        c.reset_stats();
+        c.advise(0, 8 * 64);
+        c.advise(100, 300); // pages 1..=6, unaligned ends
+        assert_eq!(c.io_stats().depth_hist.count(), 0, "a resident hint reached the queue");
+        let s = c.stats();
+        assert_eq!(s.advise_resident, 8 + 6, "{s:?}");
+        assert_eq!((s.prefetches, s.dropped_prefetches), (0, 0), "{s:?}");
+    }
+
+    #[test]
+    fn advise_queues_only_absent_runs() {
+        let dev = Arc::new(MemDevice::new());
+        dev.write_at(0, &[4u8; 12 * 64]);
+        let c = async_cache(dev, 16);
+        let mut b = [0u8; 64];
+        for page in [0u64, 1, 2, 3, 6] {
+            c.read_at(page * 64, &mut b); // demand faults; no readahead
+        }
+        c.reset_stats();
+        // Absent runs {4, 5} and {7..=11}: two requests, seven pages.
+        c.advise(0, 12 * 64);
+        c.flush();
+        assert_eq!(c.io_stats().depth_hist.count(), 2, "{:?}", c.io_stats());
+        let s = c.stats();
+        assert_eq!(s.advise_resident, 5, "{s:?}");
+        assert_eq!(s.prefetches, 7, "{s:?}");
+        for page in 0..12u64 {
+            c.read_at(page * 64, &mut b);
+            assert_eq!(b, [4u8; 64], "page {page}");
+        }
+        assert_eq!(c.stats().misses, 0, "{:?}", c.stats());
+        c.validate();
+    }
+
+    #[test]
+    fn flush_wakes_after_worker_queues_victim_writeback() {
+        // Lost-wakeup regression. A flush is parked in quiesce while a
+        // worker's prefetch evicts two dirty victims and queues their
+        // write-backs. Those pushes must wake a worker, not the parked
+        // flush, and the completion that drains the engine must wake the
+        // flush.
+        use std::sync::mpsc;
+        let inner = Arc::new(MemDevice::new());
+        inner.write_at(0, &[0u8; 4 * 64]);
+        let hooked =
+            Arc::new(HookDevice { inner: Arc::clone(&inner), after_read: Mutex::new(None) });
+        let c = Arc::new(PageCache::new(
+            Arc::clone(&hooked) as Arc<dyn BlockDevice>,
+            PageCacheConfig {
+                page_size: 64,
+                capacity_pages: 2,
+                shards: 1,
+                readahead_pages: 0,
+                io: IoConfig::asynchronous(),
+            },
+        ));
+        c.write_at(0, &[1u8; 64]);
+        c.write_at(64, &[2u8; 64]); // both frames now dirty
+        let (started_tx, started_rx) = mpsc::channel();
+        *hooked.after_read.lock().unwrap() = Some(Box::new(move || {
+            started_tx.send(()).unwrap();
+            // hold the prefetch in its bulk read while the flush parks
+            std::thread::sleep(Duration::from_millis(50));
+        }));
+        c.advise(2 * 64, 2 * 64); // pages 2 and 3: absent, one request
+        started_rx.recv_timeout(Duration::from_secs(10)).expect("prefetch never started");
+        let (done_tx, done_rx) = mpsc::channel();
+        let flusher = Arc::clone(&c);
+        let h = std::thread::spawn(move || {
+            flusher.flush();
+            done_tx.send(()).unwrap();
+        });
+        done_rx.recv_timeout(Duration::from_secs(10)).expect("flush never woke");
+        h.join().unwrap();
+        let s = c.stats();
+        assert_eq!((s.prefetches, s.evictions, s.writebacks), (2, 2, 2), "{s:?}");
+        let mut b = [0u8; 64];
+        inner.read_at(0, &mut b);
+        assert_eq!(b, [1u8; 64]);
+        inner.read_at(64, &mut b);
+        assert_eq!(b, [2u8; 64]);
+        c.validate();
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! edge-set container: a fixed-length typed array whose bytes live behind a
 //! [`PageCache`], with bulk range reads for adjacency-list scans.
 
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,6 +42,13 @@ macro_rules! impl_pod_int {
 }
 
 impl_pod_int!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
+
+thread_local! {
+    /// Reused byte buffer of [`ExternalVec::read_range`]: adjacency reads
+    /// call it once per visitor, so a fresh buffer each time would put an
+    /// allocation on every edge scan.
+    static READ_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Bump allocator that parcels one cached device into typed arrays.
 pub struct ExtStore {
@@ -120,8 +128,10 @@ impl<T: Pod> ExternalVec<T> {
     }
 
     /// Hint that `[start, start + len)` will be read soon: in async I/O
-    /// mode this queues background prefetch for the covered pages and
-    /// returns immediately (no-op otherwise).
+    /// mode this queues background prefetch for the covered pages that are
+    /// not already cached or being filled, and returns immediately; a
+    /// fully resident range queues nothing (see [`PageCache::advise`]).
+    /// A no-op otherwise.
     pub fn advise(&self, start: usize, len: usize) {
         if len == 0 {
             return;
@@ -137,11 +147,15 @@ impl<T: Pod> ExternalVec<T> {
         if out.is_empty() {
             return;
         }
-        let mut bytes = vec![0u8; out.len() * T::BYTES];
-        self.cache.read_at(self.offset_of(start), &mut bytes);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = T::read_le(&bytes[i * T::BYTES..]);
-        }
+        READ_SCRATCH.with(|b| {
+            let mut bytes = b.borrow_mut();
+            bytes.clear();
+            bytes.resize(out.len() * T::BYTES, 0);
+            self.cache.read_at(self.offset_of(start), &mut bytes);
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = T::read_le(&bytes[i * T::BYTES..]);
+            }
+        });
     }
 
     /// Bulk-write `data` at `start`.

@@ -84,11 +84,22 @@ pub(crate) enum IoRequest {
 /// Shared state between submitters and the worker pool: the bounded queue
 /// plus the observability counters (queue-depth histogram, outstanding
 /// gauge, per-op service time).
+///
+/// Two condvars, one per kind of sleeper, both paired with the queue
+/// mutex: idle workers wait on `work`, [`Self::quiesce`] callers on
+/// `idle`. A push wakes one worker and nobody else; only the completion
+/// that drains `outstanding` to zero wakes the quiesce callers. Narrow
+/// wakes need the split: on one shared condvar a push's `notify_one` can
+/// land on a parked quiesce caller instead of an idle worker (say, the
+/// write-back of a victim a worker's prefetch evicts while a flush waits).
 pub(crate) struct IoShared {
     depth: usize,
     workers: usize,
     q: Mutex<VecDeque<IoRequest>>,
-    cv: Condvar,
+    /// Idle workers sleep here; one `notify_one` per push.
+    work: Condvar,
+    /// Quiesce callers sleep here; notified when `outstanding` drains.
+    idle: Condvar,
     /// Requests submitted but not yet completed (queued + in service).
     outstanding: AtomicU64,
     peak: AtomicU64,
@@ -103,7 +114,8 @@ impl IoShared {
             depth,
             workers,
             q: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
+            work: Condvar::new(),
+            idle: Condvar::new(),
             outstanding: AtomicU64::new(0),
             peak: AtomicU64::new(0),
             depth_hist: Mutex::new(Histogram::new()),
@@ -124,7 +136,7 @@ impl IoShared {
         let now = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak.fetch_max(now, Ordering::Relaxed);
         self.depth_hist.lock().unwrap().record(now);
-        self.cv.notify_one();
+        self.work.notify_one();
         Ok(())
     }
 
@@ -132,7 +144,7 @@ impl IoShared {
     /// not counted as outstanding I/O.
     pub(crate) fn push_shutdown(&self) {
         self.q.lock().unwrap().push_back(IoRequest::Shutdown);
-        self.cv.notify_all();
+        self.work.notify_all();
     }
 
     /// Blocking dequeue (worker side).
@@ -142,23 +154,28 @@ impl IoShared {
             if let Some(req) = q.pop_front() {
                 return req;
             }
-            q = self.cv.wait(q).unwrap();
+            q = self.work.wait(q).unwrap();
         }
     }
 
-    /// Mark one submitted request finished.
+    /// Mark one submitted request finished; the one that drains the
+    /// engine wakes the quiesce callers. The notify takes the queue lock,
+    /// so a caller that read a nonzero count under that lock is already
+    /// parked on `idle` when it arrives. `AcqRel` here and `Acquire` in
+    /// `quiesce` order the worker's writes before a return that sees zero
+    /// without waiting.
     pub(crate) fn complete(&self) {
-        self.outstanding.fetch_sub(1, Ordering::Relaxed);
-        // wake quiesce() waiters (and any idle worker; harmless)
-        let _q = self.q.lock().unwrap();
-        self.cv.notify_all();
+        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _q = self.q.lock().unwrap();
+            self.idle.notify_all();
+        }
     }
 
     /// Wait until every submitted request has completed.
     pub(crate) fn quiesce(&self) {
         let mut q = self.q.lock().unwrap();
-        while self.outstanding.load(Ordering::Relaxed) > 0 {
-            q = self.cv.wait(q).unwrap();
+        while self.outstanding.load(Ordering::Acquire) > 0 {
+            q = self.idle.wait(q).unwrap();
         }
     }
 
