@@ -7,7 +7,6 @@
 //! orders visitors by length, which makes the asynchronous traversal
 //! approximate level-synchronous BFS without any barriers.
 
-use std::cmp::Ordering;
 use std::time::Duration;
 
 use havoq_comm::{RankCtx, WireCodec};
@@ -147,8 +146,8 @@ impl Visitor for BfsVisitor {
     }
 
     #[inline]
-    fn priority(&self, other: &Self) -> Ordering {
-        self.length.cmp(&other.length)
+    fn priority(&self) -> u64 {
+        self.length
     }
 
     /// Keep the minimum length (with its parent) — the same monotone

@@ -6,7 +6,6 @@
 //! own id; visitors propagate the smallest label seen. The update is
 //! monotone and idempotent, so ghosts apply.
 
-use std::cmp::Ordering;
 use std::time::Duration;
 
 use havoq_comm::{RankCtx, WireCodec};
@@ -94,9 +93,9 @@ impl Visitor for CcVisitor {
     }
 
     #[inline]
-    fn priority(&self, other: &Self) -> Ordering {
+    fn priority(&self) -> u64 {
         // lower labels first: they win anyway, so spread them early
-        self.label.cmp(&other.label)
+        self.label
     }
 
     /// Keep the minimum label — same monotone update as `pre_visit`.

@@ -12,7 +12,6 @@
 //! out-edge slice. This is the role-dependent `pre_visit` discussed in
 //! DESIGN.md.
 
-use std::cmp::Ordering;
 use std::time::Duration;
 
 use havoq_comm::{RankCtx, WireCodec};
@@ -114,11 +113,6 @@ impl Visitor for KCoreVisitor {
                 q.push(KCoreVisitor { vertex: VertexId(t), k: self.k });
             }
         });
-    }
-
-    #[inline]
-    fn priority(&self, _other: &Self) -> Ordering {
-        Ordering::Equal // no algorithm order (Alg. 4); framework uses vertex id
     }
 
     /// `visit` never touches state (all mutation happens in `pre_visit` on

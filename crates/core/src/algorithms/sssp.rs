@@ -5,10 +5,9 @@
 //! synthesized deterministically and symmetrically from the edge's
 //! endpoints (documented substitution: the paper's earlier SSSP work used
 //! weighted inputs we don't have). The visitor relaxes tentative distances;
-//! the local min-heap ordering by distance makes the traversal
+//! the local run queue's ordering by distance makes the traversal
 //! Dijkstra-like without global synchronization.
 
-use std::cmp::Ordering;
 use std::time::Duration;
 
 use havoq_comm::{RankCtx, WireCodec};
@@ -128,8 +127,8 @@ impl Visitor for SsspVisitor {
     }
 
     #[inline]
-    fn priority(&self, other: &Self) -> Ordering {
-        self.distance.cmp(&other.distance) // Dijkstra-like local order
+    fn priority(&self) -> u64 {
+        self.distance // Dijkstra-like local order
     }
 
     /// Keep the minimum distance (with its parent) — same monotone update
@@ -214,8 +213,6 @@ mod tests {
 
     /// Serial Dijkstra reference with the same synthesized weights.
     fn reference(n: u64, edges: &[Edge], source: u64, max_weight: u64) -> Vec<u64> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
         let mut adj = vec![Vec::new(); n as usize];
         for e in edges {
             if !e.is_self_loop() {
@@ -224,9 +221,8 @@ mod tests {
         }
         let mut dist = vec![UNREACHED; n as usize];
         dist[source as usize] = 0;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse((0u64, source)));
-        while let Some(Reverse((d, v))) = heap.pop() {
+        let mut open = std::collections::BTreeSet::from([(0u64, source)]);
+        while let Some((d, v)) = open.pop_first() {
             if d > dist[v as usize] {
                 continue;
             }
@@ -234,7 +230,7 @@ mod tests {
                 let nd = d + edge_weight(v, t, max_weight);
                 if nd < dist[t as usize] {
                     dist[t as usize] = nd;
-                    heap.push(Reverse((nd, t)));
+                    open.insert((nd, t));
                 }
             }
         }

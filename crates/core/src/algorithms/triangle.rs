@@ -12,7 +12,6 @@
 //! each partition performs the duty on its local adjacency slice — the
 //! closing edge exists in exactly one slice, so increments never double.
 
-use std::cmp::Ordering;
 use std::time::Duration;
 
 use havoq_comm::{RankCtx, WireCodec};
@@ -120,11 +119,6 @@ impl Visitor for TriangleVisitor {
                 data.num_triangles += 1;
             }
         }
-    }
-
-    #[inline]
-    fn priority(&self, _other: &Self) -> Ordering {
-        Ordering::Equal // no algorithm order (Alg. 6)
     }
 
     /// Counters sum: each worker's seed starts at zero (see `visit_seed`)
@@ -278,10 +272,6 @@ impl Visitor for SubsetTriangleVisitor {
         } else if g.local_adj_contains(self.inner.vertex, VertexId(self.inner.third)) {
             data.num_triangles += 1;
         }
-    }
-
-    fn priority(&self, _other: &Self) -> Ordering {
-        Ordering::Equal
     }
 
     #[inline]

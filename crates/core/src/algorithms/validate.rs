@@ -16,8 +16,6 @@
 //! traversals over the same queue framework — like everything else in the
 //! system, it is asynchronous and distributed.
 
-use std::cmp::Ordering;
-
 use havoq_comm::{RankCtx, WireCodec};
 use havoq_graph::dist::DistGraph;
 use havoq_graph::types::VertexId;
@@ -111,10 +109,6 @@ impl Visitor for ParentCheckVisitor {
         }
     }
 
-    fn priority(&self, _other: &Self) -> Ordering {
-        Ordering::Equal
-    }
-
     /// Sum the verification counters; `level` is read-only during the
     /// traversal (it carries the BFS result under check), so the slot's
     /// copy is authoritative and the seed's is discarded.
@@ -178,10 +172,6 @@ impl Visitor for EdgeSpanVisitor {
     }
 
     fn visit(&self, _g: &DistGraph, _data: &mut ValidateData, _q: &mut dyn VisitorPush<Self>) {}
-
-    fn priority(&self, _other: &Self) -> Ordering {
-        Ordering::Equal
-    }
 
     /// All mutation happens in `pre_visit` (coordinator-side); `visit` is
     /// empty, so merging only needs to sum the (always-zero) seed deltas.

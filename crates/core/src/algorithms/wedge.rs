@@ -18,7 +18,6 @@
 //! 3. `Close { other }` travels `max(a, b)`'s chain; the slice holding the
 //!    closing edge counts it.
 
-use std::cmp::Ordering;
 use std::time::Duration;
 
 use havoq_comm::{RankCtx, WireCodec};
@@ -117,10 +116,6 @@ impl Visitor for WedgeVisitor {
                 }
             }
         }
-    }
-
-    fn priority(&self, _other: &Self) -> Ordering {
-        Ordering::Equal
     }
 
     /// Both fields are pure counters: sum the per-execution deltas.

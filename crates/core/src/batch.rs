@@ -29,7 +29,6 @@
 //!   bench drives with measured batch durations (offered load in, p50/p99
 //!   latency out).
 
-use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -356,8 +355,8 @@ impl<const K: usize> Visitor for BatchBfsVisitor<K> {
     }
 
     #[inline]
-    fn priority(&self, other: &Self) -> Ordering {
-        self.length.cmp(&other.length)
+    fn priority(&self) -> u64 {
+        self.length
     }
 
     /// Element-wise monotone min — the same update as `pre_visit`, so a
@@ -656,11 +655,6 @@ impl Visitor for BatchReachVisitor {
                 out.push(BatchReachVisitor { vertex: VertexId(t), mask: todo });
             }
         });
-    }
-
-    #[inline]
-    fn priority(&self, _other: &Self) -> Ordering {
-        Ordering::Equal // framework falls back to vertex id (page locality)
     }
 
     #[inline]

@@ -2,7 +2,7 @@
 //!
 //! At a checkpoint cut (see `VisitorQueue::do_traversal_checkpointed`) each
 //! rank freezes four things — the per-vertex algorithm state, the ghost
-//! table contents, the parked visitor heap, and the mailbox's wire
+//! table contents, the queued visitors, and the mailbox's wire
 //! sequence-number table — plus the queue's high-water counters, and
 //! serializes them through the same [`WireCodec`] impls that put visitors
 //! on the wire. The resulting blob goes to a
@@ -13,7 +13,7 @@
 //! ```text
 //! [ state count u64    | count × V::Data ]
 //! [ ghost count u64    | count × (vertex u64, V::Data) ]
-//! [ heap count u64     | count × (V, tiebreak u64) ]
+//! [ queued count u64   | count × (V, tiebreak u64) ]
 //! [ seq count u64      | count × u64 ]
 //! [ 6 × u64 high-water counters ]
 //! ```
@@ -134,6 +134,7 @@ impl std::error::Error for BlobError {}
 /// that actually survives in its arrays.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueCounters {
+    /// Visitors queued on the rank so far: arrivals that passed `pre_visit`.
     pub arrival_seq: u64,
     pub visitors_executed: u64,
     pub visitors_pushed: u64,
@@ -150,7 +151,10 @@ pub struct QueueCheckpoint<V: Visitor + WireCodec> {
     /// Ghost slot contents — hub slots and occupied filter slots — sorted
     /// by vertex id.
     pub ghosts: Vec<(u64, V::Data)>,
-    /// Parked frontier: heap visitors with their tie-break keys.
+    /// Parked frontier: the run queue's visitors in pop order, each with
+    /// its tie-break — the vertex id, or its place in arrival order when
+    /// the Section V-A locality order is ablated. Restore pushes them back
+    /// in list order, which rebuilds every bucket's order.
     pub heap: Vec<(V, u64)>,
     /// Next wire sequence number per destination rank at the cut. Never
     /// re-applied on restore (rewinding sequence numbers would punch gaps

@@ -12,8 +12,8 @@
 //! This module drives the existing [`VisitorQueue`] level-synchronously:
 //!
 //! - dense per-rank **frontier / visited bitmaps**
-//!   ([`havoq_util::parallel::AtomicBitVec`]) live alongside the visitor
-//!   heap, indexed by local vertex index;
+//!   ([`havoq_util::parallel::AtomicBitVec`]) live alongside the run
+//!   queue, indexed by local vertex index;
 //! - each level both directions *generate candidate visitors*
 //!   `(vertex, level+1, parent)` pushed through the ordinary CRC-framed
 //!   mailbox, so ghost filtering, split-vertex replica chains and the
@@ -213,8 +213,8 @@ impl Visitor for DirBfsVisitor {
     }
 
     #[inline]
-    fn priority(&self, other: &Self) -> std::cmp::Ordering {
-        self.length.cmp(&other.length)
+    fn priority(&self) -> u64 {
+        self.length
     }
 
     #[inline]

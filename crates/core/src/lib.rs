@@ -2,18 +2,18 @@
 //! queue and the traversal algorithms built on it.
 //!
 //! - [`visitor`] — the visitor abstraction of Table I (`pre_visit`, `visit`,
-//!   priority ordering, per-vertex state), extended with an explicit
+//!   priority key, per-vertex state), extended with an explicit
 //!   [`visitor::Role`] so algorithms can distinguish master, replica and
 //!   ghost evaluations (see DESIGN.md for why k-core needs this on split
 //!   adjacency lists).
 //! - [`queue`] — Algorithm 1: `push` with local ghost filtering,
 //!   `check_mailbox` with master→replica forwarding chains, and one
-//!   driver loop (mailbox poll, drain the heap, quiescence cut) that
+//!   driver loop (mailbox poll, drain the run queue, quiescence cut) that
 //!   `do_traversal`, `do_traversal_checkpointed` and the level-synchronous
 //!   engines' rounds all run, differing only in executor and cut policy
-//!   (DESIGN.md §16). Local visitors are ordered by the algorithm's
-//!   comparator with a vertex-id tie-break for page-level locality
-//!   (Section V-A).
+//!   (DESIGN.md §16). Local visitors run in exact (priority key, vertex
+//!   id) order, the vertex id for page-level locality (Section V-A), from
+//!   a bucketed run queue (DESIGN.md "The run queue").
 //! - [`ghost`] — per-partition ghost tables for high in-degree hubs
 //!   (Section IV-B).
 //! - [`algorithms`] — BFS (Algorithms 2–3), k-core decomposition
@@ -42,6 +42,7 @@ pub mod ghost;
 pub mod lifecycle;
 pub mod queue;
 pub mod rounds;
+mod run_queue;
 pub mod visitor;
 
 pub use checkpoint::CheckpointSpec;

@@ -5,15 +5,15 @@
 //! - `push(visitor)` — filter through locally stored ghost state, then send
 //!   to the target vertex's master partition (`min_owner`).
 //! - `check_mailbox()` — receive visitors, `pre_visit` them against local
-//!   state, queue survivors in the local priority heap, and forward them to
+//!   state, queue survivors in the local run queue, and forward them to
 //!   the next replica if the vertex's adjacency list continues on higher
 //!   ranks (the split-vertex chain of Figure 3).
 //! - `do_traversal()` — the asynchronous driving loop: poll the mailbox,
 //!   execute locally queued visitors in priority order, and terminate when
 //!   the quiescence detector confirms the queue is globally empty.
 //!
-//! That loop is written once (`drive`, DESIGN.md §16). Who drains the heap
-//! between polls is an `Executor` — inline on this thread, the worker pool
+//! That loop is written once (`drive`, DESIGN.md §16). Who drains the run
+//! queue between polls is an `Executor` — inline on this thread, the worker pool
 //! of DESIGN.md §11, or *park* for the level-synchronous engines, which
 //! expand survivors themselves — and what a confirmed quiescence cut means
 //! is a `CutPolicy`: terminate, checkpoint after a visitor budget
@@ -27,16 +27,17 @@
 //! executor, the direction engine's candidate generation and the lifecycle
 //! engine's claims all call it.
 //!
-//! Visitors with equal algorithm priority are ordered by vertex id, the
-//! Section V-A locality optimization that makes semi-external adjacency
-//! reads page-sequential.
+//! The run queue (`run_queue`, DESIGN.md "The run queue") pops in exact
+//! (priority, vertex) order: smallest [`Visitor::priority`] key first, and
+//! equal keys by vertex id, the Section V-A locality optimization that
+//! makes semi-external adjacency reads page-sequential. It buckets by key
+//! and indexes only the lowest bucket by vertex, so a pop is a bitmap
+//! scan instead of a heap sift.
 //!
 //! `stats()` reports per traversal (DESIGN.md §6 "Counters"): the queue's
 //! own counters, `events` — this rank's view of the channel's event table —
 //! and the storage layers' `cache` / `io` / `csr` snapshots.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use havoq_comm::{
@@ -51,6 +52,7 @@ use havoq_util::parallel::{AtomicBitVec, LockedSlots, PerWorker, WorkerPool};
 
 use crate::checkpoint::{CheckpointLog, CheckpointSpec, QueueCheckpoint, QueueCounters};
 use crate::ghost::GhostTable;
+use crate::run_queue::RunQueue;
 use crate::visitor::{Role, Visitor, VisitorPush};
 
 /// Max visitors executed between consecutive mailbox polls.
@@ -73,7 +75,7 @@ pub struct TraversalConfig {
     pub locality_order: bool,
     /// Worker threads executing `visit` inside this rank. `1` (the
     /// default) runs every `visit` inline on the rank's own thread. With
-    /// `threads > 1` each rank pops frontier chunks from its heap and fans
+    /// `threads > 1` each rank pops frontier chunks from its run queue and fans
     /// the `visit` calls out to a worker pool (DESIGN.md §11); the
     /// mailbox, quiescence and checkpoint paths stay on the coordinator
     /// thread, so the wire format and integrity counters are unchanged.
@@ -129,6 +131,9 @@ pub struct TraversalStats {
     /// and aborts. All zero on a fault-free, uncheckpointed run apart from
     /// `Event::Stall`.
     pub events: EventCounts,
+    /// The most visitors queued on this rank at once during the traversal:
+    /// the run queue's high-water mark, which sets its memory.
+    pub pending_peak: u64,
     /// Wall-clock time inside `do_traversal`.
     pub elapsed: Duration,
     /// Payload bytes serialized into committed checkpoints.
@@ -161,32 +166,6 @@ pub struct TraversalStats {
     pub csr: CsrStorageSnapshot,
 }
 
-/// Min-heap adapter: smallest algorithm priority first, then the
-/// tie-break key — the vertex id under the Section V-A locality order, or
-/// an arrival sequence number when that optimization is ablated.
-struct HeapEntry<V: Visitor>(V, u64);
-
-impl<V: Visitor> PartialEq for HeapEntry<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl<V: Visitor> Eq for HeapEntry<V> {}
-
-impl<V: Visitor> PartialOrd for HeapEntry<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<V: Visitor> Ord for HeapEntry<V> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // reversed: BinaryHeap is a max-heap, we want the minimum out first
-        other.0.priority(&self.0).then_with(|| other.1.cmp(&self.1))
-    }
-}
-
 /// One rank's distributed visitor queue for visitor type `V`.
 ///
 /// `V` must implement [`WireCodec`]: visitors cross ranks as fixed-size
@@ -196,14 +175,15 @@ pub struct VisitorQueue<'g, V: Visitor + WireCodec> {
     rank: usize,
     mailbox: Mailbox<V>,
     quiescence: Quiescence,
-    heap: BinaryHeap<HeapEntry<V>>,
+    runq: RunQueue<V>,
     state: Vec<V::Data>,
     ghosts: GhostTable<V::Data>,
     cfg: TraversalConfig,
     stats: TraversalStats,
-    /// Arrival counter backing the non-locality tie-break.
+    /// Visitors queued on this rank so far, arrivals that passed
+    /// `pre_visit`; checkpointed with the other counters.
     arrival_seq: u64,
-    /// Wire decode context, kept so checkpointed heap visitors can be
+    /// Wire decode context, kept so checkpointed queued visitors can be
     /// reconstructed on restore.
     decode_ctx: V::DecodeCtx,
     /// Reused landing buffer of `check_mailbox`.
@@ -214,7 +194,7 @@ pub struct VisitorQueue<'g, V: Visitor + WireCodec> {
     csr_before: CsrStorageSnapshot,
 }
 
-/// Who drains the heap between two mailbox polls of the driver
+/// Who drains the run queue between two mailbox polls of the driver
 /// ([`VisitorQueue::drive`]). Chosen from what the caller already passed:
 /// `threads` picks inline or pool, a level-synchronous engine parks.
 enum Executor<'a, 'g, V: Visitor + WireCodec> {
@@ -226,7 +206,7 @@ enum Executor<'a, 'g, V: Visitor + WireCodec> {
     /// `threads > 1`: [`VisitorQueue::expand`] each chunk on the workers
     /// (DESIGN.md §11); the vec is the reused chunk buffer.
     Pool(Workers<'g, V>, Vec<V>),
-    /// Move survivors into the vec, in heap order, without running `visit`:
+    /// Move survivors into the vec, in run-queue order, without running `visit`:
     /// the engine expands them itself after the round's cut.
     Park(&'a mut Vec<V>),
 }
@@ -248,7 +228,7 @@ enum CutPolicy {
     /// Vote for a cut once this many visitors have executed (still polling,
     /// pre-visiting and forwarding, so the payload counters can settle). A
     /// cut that finds every rank dry terminates; any other returns
-    /// [`CutVerdict::Cut`] with the frontier parked in the heaps, for the
+    /// [`CutVerdict::Cut`] with the frontier parked in the run queues, for the
     /// caller to checkpoint and call again. The budget also caps the
     /// executor, so the pool is quiesced and absorbed at every cut.
     Budget(u64),
@@ -305,7 +285,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
             rank: ctx.rank(),
             mailbox,
             quiescence,
-            heap: BinaryHeap::new(),
+            runq: RunQueue::new(state.len(), cfg.locality_order),
             state,
             ghosts,
             cfg,
@@ -360,6 +340,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         s.cache = csr.cache_stats().unwrap_or_default().since(&self.cache_before);
         s.io = csr.io_stats().unwrap_or_default();
         s.csr = csr.storage_snapshot().unwrap_or_default().since(&self.csr_before);
+        s.pending_peak = self.runq.peak() as u64;
         s
     }
 
@@ -395,13 +376,9 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
                     self.stats.replica_forwards += 1;
                     self.mailbox.send(self.rank + 1, visitor.clone());
                 }
-                let tiebreak = if self.cfg.locality_order {
-                    v.0
-                } else {
-                    self.arrival_seq += 1;
-                    self.arrival_seq
-                };
-                self.heap.push(HeapEntry(visitor, tiebreak));
+                self.arrival_seq += 1;
+                let key = visitor.priority();
+                self.runq.push(visitor, key, li);
             }
         }
         delivered
@@ -409,7 +386,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
 
     /// The one traversal loop (Algorithm 1, `do_traversal`; DESIGN.md "The
     /// driver"): poll the mailbox, let `exec` drain up to a chunk of the
-    /// heap, and when the rank runs dry — or `policy`'s budget is spent —
+    /// run queue, and when the rank runs dry — or `policy`'s budget is spent —
     /// flush and ask the quiescence detector for a cut. Returns the first
     /// verdict `policy` does not absorb, and adds its wall clock to
     /// `stats.elapsed`. Collective; a `side` mailbox, if any, is polled,
@@ -444,7 +421,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
                 Executor::Park(newly) => self.park(newly, limit),
             } as u64;
             let due = executed_since >= budget;
-            let no_work = delivered == 0 && self.heap.is_empty();
+            let no_work = delivered == 0 && self.runq.is_empty();
             if due || no_work {
                 self.mailbox.flush();
                 let mut sent = self.mailbox.sent_count();
@@ -480,9 +457,8 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     fn run_inline(&mut self, limit: usize) -> usize {
         let mut executed = 0;
         while executed < limit {
-            let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
+            let Some((vis, li)) = self.runq.pop() else { break };
             executed += 1;
-            let li = self.g.local_index(vis.vertex());
             // split borrows: vertex state vs. push path
             let Self { g, mailbox, ghosts, state, stats, .. } = self;
             let mut pusher = Pusher { g, mailbox, ghosts, stats };
@@ -500,7 +476,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     fn run_pool(&mut self, w: &mut Workers<'g, V>, chunk: &mut Vec<V>, limit: usize) -> usize {
         chunk.clear();
         while chunk.len() < limit {
-            let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
+            let Some((vis, _)) = self.runq.pop() else { break };
             chunk.push(vis);
         }
         let g = self.g;
@@ -557,12 +533,12 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
         total
     }
 
-    /// Park executor: move up to `limit` visitors into `newly` in heap
+    /// Park executor: move up to `limit` visitors into `newly` in run-queue
     /// order, counted as executed.
     fn park(&mut self, newly: &mut Vec<V>, limit: usize) -> usize {
         let mut parked = 0;
         while parked < limit {
-            let Some(HeapEntry(vis, _)) = self.heap.pop() else { break };
+            let Some((vis, _)) = self.runq.pop() else { break };
             parked += 1;
             newly.push(vis);
         }
@@ -655,7 +631,7 @@ where
     /// Checkpointing piggybacks on the quiescence detector
     /// (`CutPolicy::Budget`): a confirmed cut is a consistent global
     /// state — `sent == recv` and stable across a full wave, so nothing is
-    /// in flight and the entire frontier sits in local heaps — which is the
+    /// in flight and the entire frontier sits in local run queues — which is the
     /// only point where per-rank snapshots compose into a recoverable
     /// whole. Each rank then writes its blob as one epoch
     /// (`checkpoint`). Cuts where every rank also reports "no local
@@ -752,7 +728,7 @@ where
         } else {
             *epoch += 1;
             // Post-cut barrier: without it a fast rank resumes executing
-            // and its sends can land in a slow rank's heap *before* that
+            // and its sends can land in a slow rank's queue *before* that
             // rank has taken its own epoch snapshot. The snapshots would
             // then not form a consistent cut — the receipt checkpointed,
             // the send not — and a restore would replay the message:
@@ -768,12 +744,23 @@ where
         restored
     }
 
+    /// The queued visitors in pop order, each with its tie-break: the
+    /// vertex id, or its place in arrival order under the ablation.
+    fn queued(&self) -> Vec<(V, u64)> {
+        let mut out = Vec::new();
+        self.runq.for_each(|vis| {
+            let tie = if self.cfg.locality_order { vis.vertex().0 } else { out.len() as u64 };
+            out.push((vis.clone(), tie));
+        });
+        out
+    }
+
     /// Freeze this rank's traversal state at a confirmed cut.
     fn export_checkpoint(&self) -> QueueCheckpoint<V> {
         QueueCheckpoint {
             state: self.state.clone(),
             ghosts: self.ghosts.export(),
-            heap: self.heap.iter().map(|HeapEntry(v, tie)| (v.clone(), *tie)).collect(),
+            heap: self.queued(),
             wire_seqs: self.mailbox.wire_seqs(),
             counters: QueueCounters {
                 arrival_seq: self.arrival_seq,
@@ -796,7 +783,11 @@ where
         }
         self.state = ck.state;
         self.ghosts.import(&ck.ghosts);
-        self.heap = ck.heap.into_iter().map(|(v, tie)| HeapEntry(v, tie)).collect();
+        self.runq.clear();
+        for (vis, _) in ck.heap {
+            let (key, li) = (vis.priority(), self.g.local_index(vis.vertex()));
+            self.runq.push(vis, key, li);
+        }
         self.arrival_seq = ck.counters.arrival_seq;
         let c = ck.counters;
         self.stats.visitors_executed = c.visitors_executed;
@@ -954,10 +945,6 @@ mod tests {
                     q.push(Flood { vertex: VertexId(t) });
                 }
             });
-        }
-
-        fn priority(&self, _other: &Self) -> Ordering {
-            Ordering::Equal
         }
 
         fn merge(into: &mut FloodData, update: &FloodData) {

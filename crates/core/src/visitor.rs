@@ -56,11 +56,15 @@ pub trait Visitor: Clone + Send + Sync + 'static {
     /// vertex's adjacency; pushes follow-on visitors through `q`.
     fn visit(&self, g: &DistGraph, data: &mut Self::Data, q: &mut dyn VisitorPush<Self>);
 
-    /// Less-than comparison prioritizing visitors in the local min-heap.
-    /// Return [`std::cmp::Ordering::Equal`] when the algorithm imposes no
-    /// order; the framework then orders by vertex id for page-level
-    /// locality (Section V-A).
-    fn priority(&self, other: &Self) -> std::cmp::Ordering;
+    /// The visitor's key in the rank's run queue: smaller keys run first,
+    /// and equal keys run in vertex-id order for page-level locality
+    /// (Section V-A), or in arrival order when that is ablated. The
+    /// default, 0 for every visitor, imposes no algorithm order. Each key
+    /// queued at once costs one small map entry beside its visitors
+    /// (DESIGN.md "The run queue").
+    fn priority(&self) -> u64 {
+        0
+    }
 
     /// Fold one `visit` execution's state update back into the canonical
     /// per-vertex slot (DESIGN.md §11).
