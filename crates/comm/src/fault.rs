@@ -331,7 +331,7 @@ impl FaultPlan {
 
     /// Extra hold ticks for message `(tag, src, dst, seq)`; 0 = no delay.
     #[inline]
-    pub fn delay_ticks(&self, tag: u64, src: usize, dst: usize, seq: u64) -> u32 {
+    fn delay_ticks(&self, tag: u64, src: usize, dst: usize, seq: u64) -> u32 {
         if self.cfg.delay_max_ticks == 0 {
             return 0;
         }
@@ -345,7 +345,7 @@ impl FaultPlan {
 
     /// How many later arrivals may overtake this message; 0 = in order.
     #[inline]
-    pub fn reorder_shift(&self, tag: u64, src: usize, dst: usize, seq: u64) -> u32 {
+    fn reorder_shift(&self, tag: u64, src: usize, dst: usize, seq: u64) -> u32 {
         if self.cfg.reorder_window == 0 {
             return 0;
         }
@@ -367,7 +367,7 @@ impl FaultPlan {
     /// Stall window (in ticks) opened by arrival number `arrival` at
     /// receiver `dst` on channel `tag`; 0 = none.
     #[inline]
-    pub fn stall_window(&self, tag: u64, dst: usize, arrival: u64) -> u32 {
+    fn stall_window(&self, tag: u64, dst: usize, arrival: u64) -> u32 {
         if self.cfg.stall_ticks == 0 {
             return 0;
         }
@@ -381,7 +381,7 @@ impl FaultPlan {
 
     /// Is `rank` a designated straggler for this run?
     #[inline]
-    pub fn is_slow(&self, rank: usize) -> bool {
+    fn is_slow(&self, rank: usize) -> bool {
         if self.cfg.slow_rank_ticks == 0 {
             return false;
         }
@@ -392,7 +392,7 @@ impl FaultPlan {
     /// True when any message on any channel could be duplicated; receivers
     /// use this to decide whether to track delivered sequence numbers.
     #[inline]
-    pub fn dedup_needed(&self) -> bool {
+    fn dedup_needed(&self) -> bool {
         self.cfg.duplicate_permille > 0
     }
 

@@ -115,11 +115,6 @@ impl MailboxConfig {
         self.channel_capacity = capacity;
         self
     }
-
-    pub fn with_integrity(mut self, integrity: bool) -> Self {
-        self.integrity = integrity;
-        self
-    }
 }
 
 /// ACK/NACK control messages of the integrity layer. They travel on an
@@ -386,12 +381,6 @@ impl<M: Send + WireCodec + 'static> Mailbox<M> {
         buf.resize(start + M::WIRE_SIZE, 0);
         msg.encode(&mut buf[start..]);
         self.end_record(hop);
-    }
-
-    /// A fresh per-worker staging shard for this mailbox (see
-    /// [`SendShard`]).
-    pub fn make_shard(&self) -> SendShard<M> {
-        SendShard { buf: Vec::new() }
     }
 
     /// Drain a worker's staged sends through the normal [`Mailbox::send`]
@@ -1267,9 +1256,9 @@ mod tests {
         let cfg = MailboxConfig {
             topology: TopologyKind::Direct,
             batch_size: batch,
+            integrity: false,
             ..MailboxConfig::default()
-        }
-        .with_integrity(false);
+        };
         let record = 4 + 8;
         let res = all_to_all_exercise(p, cfg, msgs);
         for (me, (st, tr, _)) in res.iter().enumerate() {
@@ -1350,7 +1339,7 @@ mod tests {
     fn loss_faults_require_integrity() {
         use crate::fault::FaultConfig;
         CommWorld::run_with_faults(1, Some(FaultConfig::lossy(3)), |ctx| {
-            let cfg = MailboxConfig::default().with_integrity(false);
+            let cfg = MailboxConfig { integrity: false, ..MailboxConfig::default() };
             let _mb = Mailbox::<u64>::open(ctx, 1, cfg);
         });
     }
@@ -1367,7 +1356,7 @@ mod tests {
             CommWorld::run(p, move |ctx| {
                 let mut mb = Mailbox::<u64>::open(ctx, 1, MailboxConfig::default());
                 let mut q = crate::termination::Quiescence::new(ctx, 1);
-                let mut shard = mb.make_shard();
+                let mut shard = SendShard::default();
                 for dst in 0..p {
                     for i in 0..msgs_each {
                         let msg = (ctx.rank() * 1_000_000 + dst * 1000 + i) as u64;

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Which rank's view ([`ChannelStatsSnapshot::at_rank`]) an event bumped at
 /// `(src, dst)` is attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Observer {
+pub(crate) enum Observer {
     /// The sending rank `src` (row sum of the pair matrix).
     Sender,
     /// The receiving rank `dst` (column sum).
@@ -129,12 +129,12 @@ impl Event {
     }
 
     /// Which side of the `(src, dst)` pair observes the event.
-    pub fn observer(self) -> Observer {
+    fn observer(self) -> Observer {
         Event::ROWS[self as usize].2
     }
 
     /// Whether the fault layer injected this event (the eight `Fault*`).
-    pub fn is_injected_fault(self) -> bool {
+    fn is_injected_fault(self) -> bool {
         Event::ROWS[self as usize].3
     }
 }
@@ -149,7 +149,7 @@ impl EventCounts {
         Event::ALL.iter().map(|&ev| (ev, self[ev]))
     }
 
-    /// Sum of the injected-fault events ([`Event::is_injected_fault`]) —
+    /// Sum of the injected-fault events (the eight `Fault*`) —
     /// nonzero iff the fault layer perturbed at least one message.
     pub fn injected_faults(&self) -> u64 {
         self.iter().filter(|(ev, _)| ev.is_injected_fault()).map(|(_, n)| n).sum()
@@ -295,7 +295,7 @@ impl ChannelStatsSnapshot {
 
     /// The events `rank` observed: the column sum for receiver-observed
     /// events, the row sum for sender-observed ones, the diagonal entry for
-    /// per-rank ones ([`Event::observer`]). The views of all ranks
+    /// per-rank ones. The views of all ranks
     /// partition the table: summed, they equal [`Self::count`].
     pub fn at_rank(&self, rank: usize) -> EventCounts {
         let mut out = EventCounts::default();
@@ -323,33 +323,6 @@ impl ChannelStatsSnapshot {
         (0..self.ranks).map(|r| self.channels_used_by(r)).max().unwrap_or(0)
     }
 
-    /// Column sums of a pair matrix: what each rank received.
-    fn received_per_rank(&self, m: &[u64]) -> Vec<u64> {
-        (0..self.ranks).map(|d| (0..self.ranks).map(|s| m[s * self.ranks + d]).sum()).collect()
-    }
-
-    /// Payload items received per rank; the spread of this distribution shows
-    /// communication hotspots (the paper's high in-degree hub problem).
-    pub fn items_received_per_rank(&self) -> Vec<u64> {
-        self.received_per_rank(&self.items)
-    }
-
-    /// Wire bytes received per rank.
-    pub fn bytes_received_per_rank(&self) -> Vec<u64> {
-        self.received_per_rank(&self.bytes)
-    }
-
-    /// max/mean imbalance of items received per rank (1.0 = perfectly even).
-    pub fn receive_imbalance(&self) -> f64 {
-        let per = self.items_received_per_rank();
-        let total: u64 = per.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f64 / self.ranks as f64;
-        per.iter().copied().max().unwrap_or(0) as f64 / mean
-    }
-
     /// `total` per transport message (0.0 before the first message).
     fn per_msg(&self, total: u64) -> f64 {
         match self.total_msgs() {
@@ -362,11 +335,6 @@ impl ChannelStatsSnapshot {
     /// paper's routed mailbox is designed to increase).
     pub fn aggregation_factor(&self) -> f64 {
         self.per_msg(self.total_items())
-    }
-
-    /// Mean wire bytes per transport message.
-    pub fn mean_msg_bytes(&self) -> f64 {
-        self.per_msg(self.total_bytes())
     }
 }
 
@@ -403,26 +371,13 @@ mod tests {
     }
 
     #[test]
-    fn receive_imbalance_even_and_skewed() {
-        let s = ChannelStats::new(2);
-        s.record(0, 1, 4, 32);
-        s.record(1, 0, 4, 32);
-        assert!((s.snapshot().receive_imbalance() - 1.0).abs() < 1e-12);
-
-        let skew = ChannelStats::new(2);
-        skew.record(0, 1, 8, 64);
-        // rank0 receives nothing: max/mean = 8 / 4 = 2
-        assert!((skew.snapshot().receive_imbalance() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn aggregation_factor_and_mean_bytes() {
         let s = ChannelStats::new(2);
         s.record(0, 1, 64, 640);
         s.record(0, 1, 32, 320);
         let snap = s.snapshot();
         assert!((snap.aggregation_factor() - 48.0).abs() < 1e-12);
-        assert!((snap.mean_msg_bytes() - 480.0).abs() < 1e-12);
+        assert!((snap.per_msg(snap.total_bytes()) - 480.0).abs() < 1e-12);
     }
 
     /// Every event, one row of the same table: bumped on an off-diagonal
@@ -501,7 +456,6 @@ mod tests {
         assert_eq!(snap.total_bytes(), 0);
         assert_eq!(snap.at_rank(0), EventCounts::default());
         assert_eq!(snap.aggregation_factor(), 0.0);
-        assert_eq!(snap.mean_msg_bytes(), 0.0);
-        assert_eq!(snap.receive_imbalance(), 1.0);
+        assert_eq!(snap.per_msg(snap.total_bytes()), 0.0);
     }
 }

@@ -279,11 +279,6 @@ impl Quiescence {
     pub fn waves_run(&self) -> u64 {
         self.waves_run
     }
-
-    /// Number of non-terminal consistent cuts this detector confirmed.
-    pub fn cuts_fired(&self) -> u64 {
-        self.cuts_fired
-    }
 }
 
 #[cfg(test)]
@@ -440,7 +435,7 @@ mod tests {
                             }
                         }
                     }
-                    assert_eq!(q.cuts_fired(), cut + 1);
+                    assert_eq!(q.cuts_fired, cut + 1);
                 }
                 let mut polls = 0u64;
                 while q.poll_cut(7, 7, true, true) != Some(CutVerdict::Terminate) {
@@ -561,7 +556,7 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(q.cuts_fired(), cut + 1);
+                assert_eq!(q.cuts_fired, cut + 1);
             }
         });
     }

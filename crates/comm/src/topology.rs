@@ -86,10 +86,6 @@ impl Grid2D {
         Self { rows, cols: ranks / rows }
     }
 
-    pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     #[inline]
     fn row(&self, r: usize) -> usize {
         r / self.cols
@@ -162,10 +158,6 @@ impl Grid3D {
     pub fn new(ranks: usize) -> Self {
         let dims = cubest_dims(ranks);
         Self { b: dims.1, c: dims.2, dims }
-    }
-
-    pub fn dims(&self) -> (usize, usize, usize) {
-        self.dims
     }
 
     #[inline]
@@ -243,7 +235,7 @@ mod tests {
     fn grid2d_paper_figure4_example() {
         // 16 ranks, 4x4 grid: rank 11 -> rank 5 routes through rank 9.
         let t = Grid2D::new(16);
-        assert_eq!(t.dims(), (4, 4));
+        assert_eq!((t.rows, t.cols), (4, 4));
         assert_eq!(t.route(11, 5), 9);
         assert_eq!(t.route(9, 5), 5);
     }
@@ -298,7 +290,7 @@ mod tests {
     fn grid3d_dims_multiply_to_p() {
         for p in [1usize, 8, 12, 27, 30, 64, 100] {
             let t = Grid3D::new(p);
-            let (a, b, c) = t.dims();
+            let (a, b, c) = t.dims;
             assert_eq!(a * b * c, p);
         }
     }
@@ -312,9 +304,9 @@ mod tests {
         // the rank count factors.
         for p in [2usize, 3, 5, 7, 13, 31, 97] {
             let t2 = Grid2D::new(p);
-            assert_eq!(t2.dims(), (1, p), "p={p}");
+            assert_eq!((t2.rows, t2.cols), (1, p), "p={p}");
             let t3 = Grid3D::new(p);
-            assert_eq!(t3.dims(), (1, 1, p), "p={p}");
+            assert_eq!(t3.dims, (1, 1, p), "p={p}");
             for s in 0..p {
                 assert_eq!(t2.neighbors(s).len(), p - 1, "2d channel set, p={p} rank {s}");
                 assert_eq!(t3.neighbors(s).len(), p - 1, "3d channel set, p={p} rank {s}");

@@ -70,12 +70,6 @@ impl<M: Send + 'static> Transport<M> {
         self.set.capacity
     }
 
-    /// True when this endpoint injects faults on its receive path.
-    #[inline]
-    pub fn faults_active(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// The sequence number the next send to `dst` will carry. Only the
     /// owning rank thread sends, so this cannot race with a send.
     #[inline]
@@ -126,7 +120,7 @@ impl<M: Send + 'static> Transport<M> {
     /// drain concurrently); layers that must not block use
     /// [`Self::try_send_counted`].
     #[inline]
-    pub fn send_counted(&self, dst: usize, msg: M, items: u64, bytes: u64) {
+    fn send_counted(&self, dst: usize, msg: M, items: u64, bytes: u64) {
         debug_assert!(dst < self.ranks, "destination rank out of range");
         if let Some(stats) = &self.set.stats {
             stats.record(self.rank, dst, items, bytes);
@@ -405,7 +399,7 @@ mod tests {
         let cfg = FaultConfig::quiet(11).with_delay(1000, 8).with_reorder(500, 4);
         CommWorld::run_with_faults(2, Some(cfg), |ctx| {
             let ch = ctx.channel::<u64>(0);
-            assert!(ch.faults_active());
+            assert!(ch.fault.is_some(), "faults inject on the receive path");
             if ctx.rank() == 0 {
                 for i in 0..200u64 {
                     ch.send(1, i);

@@ -194,131 +194,6 @@ pub fn triangle_count(ctx: &RankCtx, g: &DistGraph, cfg: &TriangleConfig) -> Tri
     TriangleResult { triangles, elapsed: stats.elapsed, stats }
 }
 
-/// The subset-restricted variant the paper sketches ("this algorithm can be
-/// extended to count the number of triangles amongst a subset of vertices,
-/// or for individual vertices"): counts triangles whose three corners all
-/// lie in `subset`.
-///
-/// The subset (sorted, deduplicated vertex ids) is replicated to every
-/// rank — the intended use is small analyst-selected seed sets, e.g. one
-/// community of a social graph — and the visitor simply refuses to extend
-/// paths outside it.
-#[derive(Clone)]
-pub struct SubsetTriangleVisitor {
-    inner: TriangleVisitor,
-    subset: std::sync::Arc<Vec<u64>>,
-}
-
-/// The subset table never crosses the wire: it is rank-replicated and
-/// reattached on decode through the queue's decode context, so the wire
-/// record stays the 24 bytes of the inner visitor.
-impl WireCodec for SubsetTriangleVisitor {
-    const WIRE_SIZE: usize = TriangleVisitor::WIRE_SIZE;
-    type DecodeCtx = std::sync::Arc<Vec<u64>>;
-
-    fn encode(&self, buf: &mut [u8]) {
-        self.inner.encode(buf);
-    }
-
-    fn decode(buf: &[u8], ctx: &Self::DecodeCtx) -> Self {
-        SubsetTriangleVisitor {
-            inner: TriangleVisitor::decode(buf, &()),
-            subset: std::sync::Arc::clone(ctx),
-        }
-    }
-}
-
-impl Visitor for SubsetTriangleVisitor {
-    type Data = TriangleData;
-    const GHOSTS_ALLOWED: bool = false;
-
-    fn vertex(&self) -> VertexId {
-        self.inner.vertex
-    }
-
-    fn pre_visit(&self, _data: &mut TriangleData, _role: Role) -> bool {
-        true
-    }
-
-    fn visit(&self, g: &DistGraph, data: &mut TriangleData, q: &mut dyn VisitorPush<Self>) {
-        let me = self.inner.vertex.0;
-        let in_subset = |v: u64| self.subset.binary_search(&v).is_ok();
-        if self.inner.second == NONE {
-            g.with_adj(self.inner.vertex, |adj| {
-                for &t in adj {
-                    if t > me && in_subset(t) {
-                        q.push(SubsetTriangleVisitor {
-                            inner: TriangleVisitor { vertex: VertexId(t), second: me, third: NONE },
-                            subset: std::sync::Arc::clone(&self.subset),
-                        });
-                    }
-                }
-            });
-        } else if self.inner.third == NONE {
-            g.with_adj(self.inner.vertex, |adj| {
-                for &t in adj {
-                    if t > me && in_subset(t) {
-                        q.push(SubsetTriangleVisitor {
-                            inner: TriangleVisitor {
-                                vertex: VertexId(t),
-                                second: me,
-                                third: self.inner.second,
-                            },
-                            subset: std::sync::Arc::clone(&self.subset),
-                        });
-                    }
-                }
-            });
-        } else if g.local_adj_contains(self.inner.vertex, VertexId(self.inner.third)) {
-            data.num_triangles += 1;
-        }
-    }
-
-    #[inline]
-    fn merge(into: &mut TriangleData, update: &TriangleData) {
-        into.num_triangles += update.num_triangles;
-    }
-
-    #[inline]
-    fn visit_seed(_data: &TriangleData) -> TriangleData {
-        TriangleData::default()
-    }
-}
-
-/// Count triangles entirely within `subset` (sorted unique vertex ids).
-/// Collective.
-pub fn triangle_count_subset(
-    ctx: &RankCtx,
-    g: &DistGraph,
-    subset: &[u64],
-    cfg: &TriangleConfig,
-) -> TriangleResult {
-    debug_assert!(subset.windows(2).all(|w| w[0] < w[1]), "subset must be sorted unique");
-    let subset = std::sync::Arc::new(subset.to_vec());
-    let mut cfgq = cfg.traversal;
-    cfgq.ghosts = 0;
-    let mut q = VisitorQueue::<SubsetTriangleVisitor>::new_with_ctx(
-        ctx,
-        g,
-        cfgq,
-        std::sync::Arc::clone(&subset),
-    );
-    for &v in subset.iter() {
-        let v = VertexId(v);
-        if v.0 < g.num_vertices() && g.is_master(v) {
-            q.push(SubsetTriangleVisitor {
-                inner: TriangleVisitor { vertex: v, second: NONE, third: NONE },
-                subset: std::sync::Arc::clone(&subset),
-            });
-        }
-    }
-    q.traverse(ctx, cfg.checkpoint.as_ref());
-    let local: u64 = q.state().iter().map(|d| d.num_triangles).sum();
-    let triangles = ctx.all_reduce_sum(local);
-    let stats = q.stats();
-    TriangleResult { triangles, elapsed: stats.elapsed, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,62 +299,6 @@ mod tests {
         let want = reference_triangles(128, &edges);
         assert!(want > 0, "ring lattices are triangle-rich");
         assert_eq!(distributed_triangles(3, &edges), want);
-    }
-
-    #[test]
-    fn subset_counting_restricts_to_the_subset() {
-        // K6: full count 20; restricted to {0,1,2,3}: C(4,3) = 4
-        let mut edges = Vec::new();
-        for a in 0..6u64 {
-            for b in 0..6u64 {
-                if a != b {
-                    edges.push(Edge::new(a, b));
-                }
-            }
-        }
-        let out = CommWorld::run(3, |ctx| {
-            let g = DistGraph::build_replicated(
-                ctx,
-                &edges,
-                PartitionStrategy::EdgeList,
-                GraphConfig::default(),
-            );
-            let full = triangle_count(ctx, &g, &TriangleConfig::default()).triangles;
-            let sub =
-                triangle_count_subset(ctx, &g, &[0, 1, 2, 3], &TriangleConfig::default()).triangles;
-            let empty = triangle_count_subset(ctx, &g, &[], &TriangleConfig::default()).triangles;
-            let pair =
-                triangle_count_subset(ctx, &g, &[0, 1], &TriangleConfig::default()).triangles;
-            (full, sub, empty, pair)
-        });
-        for (full, sub, empty, pair) in out {
-            assert_eq!(full, 20);
-            assert_eq!(sub, 4);
-            assert_eq!(empty, 0);
-            assert_eq!(pair, 0, "two vertices close no triangle");
-        }
-    }
-
-    #[test]
-    fn subset_of_everything_equals_full_count() {
-        let gen = RmatGenerator::graph500(6);
-        let edges = gen.symmetric_edges(8);
-        let n = gen.num_vertices();
-        let all: Vec<u64> = (0..n).collect();
-        let out = CommWorld::run(2, |ctx| {
-            let g = DistGraph::build_replicated(
-                ctx,
-                &edges,
-                PartitionStrategy::EdgeList,
-                GraphConfig::default().with_num_vertices(n),
-            );
-            let full = triangle_count(ctx, &g, &TriangleConfig::default()).triangles;
-            let sub = triangle_count_subset(ctx, &g, &all, &TriangleConfig::default()).triangles;
-            (full, sub)
-        });
-        for (full, sub) in out {
-            assert_eq!(full, sub);
-        }
     }
 
     #[test]

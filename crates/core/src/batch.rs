@@ -25,9 +25,9 @@
 //!   their engine entry points ([`bfs_batch`], [`reach_batch`]);
 //! - [`QueryBatch`]: admission up to a capacity, then one batched run,
 //!   dispatching to a compile-time state width;
-//! - [`AdmissionQueue`]: the pure event-clock scheduler the `qps_serve`
-//!   bench drives with measured batch durations (offered load in, p50/p99
-//!   latency out).
+//! - [`AdmissionQueue`]: the pure event-clock scheduler the benchmark's
+//!   `serve_mem` workload drives with measured batch durations (offered
+//!   load in, p50/p99 latency out).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -50,9 +50,9 @@ pub const MAX_BATCH: usize = 64;
 // --- per-query execution ledger ------------------------------------------
 
 /// Rank-local per-query visitor counters, shared by every batched BFS
-/// visitor on a rank through the queue's decode context (the same
-/// rank-replicated-state idiom as subset triangle counting: the `Arc`
-/// never crosses the wire, it is reattached when a visitor is decoded).
+/// visitor on a rank through the queue's decode context (rank-replicated
+/// state: the `Arc` never crosses the wire, it is reattached when a
+/// visitor is decoded).
 ///
 /// `executed[q]`/`pushed[q]` count, for query `q`, the visitor executions
 /// that advanced `q`'s frontier and the follow-on visitors they pushed on
@@ -248,7 +248,7 @@ pub struct BatchBfsVisitor<const K: usize> {
 impl<const K: usize> WireCodec for BatchBfsVisitor<K> {
     const WIRE_SIZE: usize = 32;
     /// The ledger is rank-replicated, never wire-borne: reattached on
-    /// decode exactly like the subset table of subset triangle counting.
+    /// decode.
     type DecodeCtx = Arc<LedgerCells>;
 
     fn encode(&self, buf: &mut [u8]) {
@@ -772,7 +772,7 @@ impl QueryBatch {
         self.sources.is_empty()
     }
 
-    pub fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.sources.len() >= self.capacity
     }
 
@@ -803,7 +803,7 @@ impl QueryBatch {
     /// Run the admitted queries as one batched BFS and drain the batch.
     /// Collective: every rank must hold the same admitted sources (in a
     /// distributed serving loop, admission decisions are driven by
-    /// world-agreed clocks — see the `qps_serve` bench).
+    /// world-agreed clocks — see [`AdmissionQueue`]).
     pub fn run_bfs(&mut self, ctx: &RankCtx, g: &DistGraph, cfg: &BatchConfig) -> BatchBfsResult {
         let sources = std::mem::take(&mut self.sources);
         at_batch_width!(sources.len(), bfs_batch(ctx, g, &sources, cfg))
@@ -853,7 +853,8 @@ pub enum ShedPolicy {
     DropOldest,
 }
 
-/// The pure event-clock scheduler behind the `qps_serve` bench.
+/// The pure event-clock scheduler behind the benchmark's `serve_mem`
+/// workload.
 ///
 /// Queries arrive on a virtual nanosecond clock; batches are formed FIFO
 /// up to `capacity` (the admission control: later arrivals wait for the
@@ -875,8 +876,8 @@ pub enum ShedPolicy {
 ///   so it is shed instead.
 ///
 /// Shed queries never contribute latency samples (they have no service
-/// completion); they are accounted in [`AdmissionQueue::shed_overflow`]
-/// and [`AdmissionQueue::shed_expired`].
+/// completion); they are accounted in [`AdmissionQueue::shed_total`], as
+/// overflow at the backlog bound or as expiry at batch formation.
 #[derive(Clone, Debug)]
 pub struct AdmissionQueue {
     capacity: usize,
@@ -887,7 +888,11 @@ pub struct AdmissionQueue {
     in_flight: Vec<Arrival>,
     latencies_ns: Vec<u64>,
     peak_backlog: usize,
+    /// Arrivals shed at the backlog bound (whichever side the policy
+    /// dropped).
     shed_overflow: u64,
+    /// Arrivals shed at batch formation because their deadline had
+    /// already passed.
     shed_expired: u64,
     offered: u64,
 }
@@ -989,18 +994,6 @@ impl AdmissionQueue {
 
     pub fn peak_backlog(&self) -> usize {
         self.peak_backlog
-    }
-
-    /// Arrivals shed at the backlog bound (whichever side the policy
-    /// dropped).
-    pub fn shed_overflow(&self) -> u64 {
-        self.shed_overflow
-    }
-
-    /// Arrivals shed at batch formation because their deadline had
-    /// already passed.
-    pub fn shed_expired(&self) -> u64 {
-        self.shed_expired
     }
 
     pub fn shed_total(&self) -> u64 {
@@ -1181,13 +1174,52 @@ mod tests {
         }
     }
 
+    /// Batch service time of [`overloaded`].
+    const OVERLOAD_SERVICE_NS: u64 = 80;
+
+    /// 48 arrivals 10 ns apart through an event-fed serving loop with
+    /// capacity 2, backlog 4 and 80 ns per batch: 8 arrivals per service
+    /// against the 2 the server takes, a 4x overload. Each arrival is
+    /// offered once the clock reaches it.
+    fn overloaded(policy: ShedPolicy) -> AdmissionQueue {
+        let mut aq = AdmissionQueue::new(2).with_max_backlog(4).with_shed_policy(policy);
+        let stream: Vec<Arrival> = (0..48).map(|i| arr(i * 10, i)).collect();
+        let mut next = 0;
+        loop {
+            while next < stream.len() && stream[next].at_ns <= aq.clock_ns() {
+                aq.offer(stream[next]);
+                next += 1;
+            }
+            if aq.pending_len() == 0 {
+                if next == stream.len() {
+                    return aq;
+                }
+                aq.offer(stream[next]);
+                next += 1;
+                continue;
+            }
+            aq.start_batch();
+            aq.finish_batch(OVERLOAD_SERVICE_NS);
+        }
+    }
+
+    /// The bounded-backlog contract under 4x overload: the queue sheds,
+    /// every offer is served or shed, and p99 stays within
+    /// max(B, ⌈B/C⌉ + 1) = 4 batch services.
+    fn assert_overload_contract(aq: &AdmissionQueue) {
+        assert!(aq.shed_overflow > 0, "4x overload must shed");
+        assert_eq!(aq.latencies_ns().len() as u64 + aq.shed_total(), 48);
+        let p99 = percentile_ns(aq.latencies_ns(), 99);
+        assert!(p99 <= 4 * OVERLOAD_SERVICE_NS, "p99 {p99} ns above the ceiling");
+    }
+
     #[test]
     fn backlog_bound_reject_new_sheds_the_offer() {
         let mut aq = AdmissionQueue::new(2).with_max_backlog(2);
         assert!(aq.offer(arr(0, 0)));
         assert!(aq.offer(arr(0, 1)));
         assert!(!aq.offer(arr(0, 2)), "third offer bounces off the bound");
-        assert_eq!(aq.shed_overflow(), 1);
+        assert_eq!(aq.shed_overflow, 1);
         assert_eq!(aq.pending_len(), 2);
         aq.start_batch();
         aq.finish_batch(10);
@@ -1195,6 +1227,7 @@ mod tests {
         assert_eq!(aq.latencies_ns().len(), 2);
         assert_eq!(aq.offered(), 3);
         assert_eq!(aq.shed_total(), 1);
+        assert_overload_contract(&overloaded(ShedPolicy::RejectNew));
     }
 
     #[test]
@@ -1204,9 +1237,10 @@ mod tests {
         assert!(aq.offer(arr(0, 0)));
         assert!(aq.offer(arr(0, 1)));
         assert!(aq.offer(arr(0, 2)), "newest survives by evicting the oldest");
-        assert_eq!(aq.shed_overflow(), 1);
+        assert_eq!(aq.shed_overflow, 1);
         let b: Vec<u64> = aq.start_batch().iter().map(|a| a.source.0).collect();
         assert_eq!(b, vec![1, 2], "arrival 0 was evicted");
+        assert_overload_contract(&overloaded(ShedPolicy::DropOldest));
     }
 
     #[test]
@@ -1222,7 +1256,7 @@ mod tests {
         assert_eq!(b, Vec::<u64>::new(), "the only waiter was past its deadline");
         // first batch served all three (clock was 0 ≤ both deadlines);
         // the late-offered expired one was shed at formation
-        assert_eq!(aq.shed_expired(), 1);
+        assert_eq!(aq.shed_expired, 1);
         assert_eq!(aq.latencies_ns().len(), 3);
     }
 
@@ -1238,7 +1272,7 @@ mod tests {
         aq.finish_batch(100); // clock = 100 > 50
         let b: Vec<u64> = aq.start_batch().iter().map(|a| a.source.0).collect();
         assert!(b.is_empty());
-        assert_eq!(aq.shed_expired(), 1);
+        assert_eq!(aq.shed_expired, 1);
         assert_eq!(aq.latencies_ns().len(), 1);
     }
 

@@ -77,19 +77,6 @@ pub enum DirectionMode {
     Auto,
 }
 
-impl DirectionMode {
-    /// Parse a CLI token (`top`, `bottom`, `auto`, `async`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "top" | "topdown" | "top-down" => Some(Self::TopDown),
-            "bottom" | "bottomup" | "bottom-up" => Some(Self::BottomUp),
-            "auto" => Some(Self::Auto),
-            "async" | "queue" => Some(Self::Async),
-            _ => None,
-        }
-    }
-}
-
 /// Top-down → bottom-up threshold (Beamer's α): switch when the
 /// frontier's edge count exceeds `unvisited_edges / ALPHA`.
 const ALPHA: u64 = 14;
@@ -543,15 +530,6 @@ fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parses_cli_tokens() {
-        assert_eq!(DirectionMode::parse("top"), Some(DirectionMode::TopDown));
-        assert_eq!(DirectionMode::parse("bottom-up"), Some(DirectionMode::BottomUp));
-        assert_eq!(DirectionMode::parse("auto"), Some(DirectionMode::Auto));
-        assert_eq!(DirectionMode::parse("async"), Some(DirectionMode::Async));
-        assert_eq!(DirectionMode::parse("sideways"), None);
-    }
 
     #[test]
     fn pre_visit_keeps_lexicographic_minimum() {

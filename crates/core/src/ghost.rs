@@ -113,12 +113,6 @@ impl<D: Default + Clone + 'static> GhostTable<D> {
         self.hubs.is_empty()
     }
 
-    /// Number of direct-mapped filter slots (0 when the filter is off).
-    #[inline]
-    pub fn filter_slots(&self) -> usize {
-        self.filter.len()
-    }
-
     /// Mutable ghost state for `v` (the paper's `has_local_ghost` /
     /// `local_ghost` pair): its hub slot if it has one, else its filter
     /// slot — reset to `D::default()` first if another vertex held it.
@@ -348,9 +342,9 @@ mod tests {
                 GraphConfig::default(),
             );
             let off = GhostTable::for_visitor::<BfsVisitor>(&dg, 0);
-            assert_eq!((off.len(), off.filter_slots()), (0, 0));
+            assert_eq!((off.len(), off.filter.len()), (0, 0));
             let on = GhostTable::for_visitor::<BfsVisitor>(&dg, 256);
-            assert!(on.filter_slots() > 0);
+            assert!(!on.filter.is_empty());
         });
     }
 
@@ -368,9 +362,9 @@ mod tests {
                 GraphConfig::default().with_num_vertices(1 << 10),
             );
             let wide = GhostTable::for_visitor::<BatchBfsVisitor<64>>(&dg, 256);
-            assert_eq!(wide.filter_slots(), 0);
+            assert!(wide.filter.is_empty());
             let bfs = GhostTable::for_visitor::<BfsVisitor>(&dg, 256);
-            assert_eq!(bfs.filter_slots(), 1024);
+            assert_eq!(bfs.filter.len(), 1024);
         });
         assert_eq!(filter_slots::<BfsData>(1 << 20), 1 << 16, "24 B slots in 2 MiB");
         assert_eq!(filter_slots::<u64>(1000), 1024);

@@ -268,7 +268,7 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
 
     /// Like [`VisitorQueue::new`] but supplying the wire decode context for
     /// visitor types carrying rank-replicated shared state (e.g. the
-    /// subset table of subset triangle counting).
+    /// per-query ledger of batched BFS).
     pub fn new_with_ctx(
         ctx: &RankCtx,
         g: &'g DistGraph,
@@ -315,12 +315,6 @@ impl<'g, V: Visitor + WireCodec> VisitorQueue<'g, V> {
     /// Consume the queue, keeping the final state.
     pub fn into_state(self) -> Vec<V::Data> {
         self.state
-    }
-
-    /// Number of hub ghost slots active for this traversal (the filter
-    /// behind them is not counted).
-    pub fn ghost_count(&self) -> usize {
-        self.ghosts.len()
     }
 
     /// Local traversal statistics (valid after `do_traversal`).
@@ -712,7 +706,7 @@ where
             // Drop every epoch above the restore target: the rewound run
             // will re-number them, and a stale complete epoch from this
             // incarnation must never satisfy a later recovery's
-            // `latest_complete_epoch`.
+            // `latest_complete_epoch_with_fallbacks`.
             store.truncate_above(target);
             self.bump(Event::Restore);
             *incarnation += 1;

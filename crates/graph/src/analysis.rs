@@ -34,42 +34,11 @@ impl DegreeCensus {
         self.degrees.iter().copied().max().unwrap_or(0)
     }
 
-    pub fn mean_degree(&self) -> f64 {
-        if self.degrees.is_empty() {
-            0.0
-        } else {
-            self.degrees.iter().sum::<u64>() as f64 / self.degrees.len() as f64
-        }
-    }
-
     /// Total edges belonging to vertices with degree >= `threshold`
     /// (Figure 1's "edges on hubs" series).
     pub fn edges_on_hubs(&self, threshold: u64) -> u64 {
         self.degrees.iter().filter(|&&d| d >= threshold).sum()
     }
-
-    /// Number of vertices with degree >= `threshold`.
-    pub fn hub_count(&self, threshold: u64) -> u64 {
-        self.degrees.iter().filter(|&&d| d >= threshold).count() as u64
-    }
-
-    /// Full hub statistics row for a Figure 1-style table.
-    pub fn hub_stats(&self, thresholds: &[u64]) -> HubStats {
-        HubStats {
-            max_degree: self.max_degree(),
-            mean_degree: self.mean_degree(),
-            edges_on_hubs: thresholds.iter().map(|&t| (t, self.edges_on_hubs(t))).collect(),
-        }
-    }
-}
-
-/// One row of Figure 1: the max-degree hub and edge mass on hubs above each
-/// threshold.
-#[derive(Clone, Debug)]
-pub struct HubStats {
-    pub max_degree: u64,
-    pub mean_degree: f64,
-    pub edges_on_hubs: Vec<(u64, u64)>,
 }
 
 #[cfg(test)]
@@ -83,7 +52,6 @@ mod tests {
         let c = DegreeCensus::from_edges(3, edges.into_iter());
         assert_eq!(c.degrees(), &[2, 1, 0]);
         assert_eq!(c.max_degree(), 2);
-        assert!((c.mean_degree() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -97,11 +65,9 @@ mod tests {
     fn hub_metrics() {
         let c = DegreeCensus { degrees: vec![100, 5, 5, 50] };
         assert_eq!(c.edges_on_hubs(50), 150);
-        assert_eq!(c.hub_count(50), 2);
+        assert_eq!(c.edges_on_hubs(10), 150);
         assert_eq!(c.edges_on_hubs(1000), 0);
-        let hs = c.hub_stats(&[10, 50]);
-        assert_eq!(hs.max_degree, 100);
-        assert_eq!(hs.edges_on_hubs, vec![(10, 150), (50, 150)]);
+        assert_eq!(c.max_degree(), 100);
     }
 
     /// Figure 1's qualitative claim: hub mass grows with scale while mean

@@ -165,7 +165,6 @@ impl CsrStorageSnapshot {
 /// One rank's CSR partition covering the contiguous vertex range
 /// `[vertex_base, vertex_base + num_vertices)`.
 pub struct LocalCsr {
-    vertex_base: u64,
     /// `offsets[i]..offsets[i+1]` indexes local vertex i's targets — in
     /// elements for `Mem`/`Ext`, in *bytes* of the encoded pool for
     /// `ExtCompressed` (degrees then come from the DRAM degree table).
@@ -254,12 +253,7 @@ impl LocalCsr {
                 }
             }
         };
-        Self { vertex_base, offsets, edge_count, targets }
-    }
-
-    #[inline]
-    pub fn vertex_base(&self) -> u64 {
-        self.vertex_base
+        Self { offsets, edge_count, targets }
     }
 
     #[inline]

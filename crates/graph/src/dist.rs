@@ -321,7 +321,7 @@ impl DistGraph {
     /// adjacency list (0 unless `v` is split and this rank is not the
     /// chain head).
     #[inline]
-    pub fn local_adj_offset(&self, v: VertexId) -> u64 {
+    fn local_adj_offset(&self, v: VertexId) -> u64 {
         debug_assert!(self.is_local(v));
         self.split_offsets.get(&v.0).copied().unwrap_or(0)
     }
@@ -346,14 +346,10 @@ impl DistGraph {
 
     // ---- ghosts -----------------------------------------------------------
 
-    /// The `k` highest locally-observed in-frequency targets — the paper's
-    /// per-partition ghost selection ("each partition locally identifies
-    /// high-degree vertices from its edges' targets").
-    pub fn ghost_topk(&self, k: usize) -> Vec<VertexId> {
-        self.ghost_candidates.iter().take(k).map(|&(v, _)| VertexId(v)).collect()
-    }
-
-    /// All tracked candidates with their local in-edge counts.
+    /// All tracked candidates with their local in-edge counts, highest
+    /// first: the paper's per-partition ghost selection ("each partition
+    /// locally identifies high-degree vertices from its edges' targets")
+    /// takes a prefix.
     pub fn ghost_candidates(&self) -> &[(u64, u64)] {
         &self.ghost_candidates
     }
@@ -780,8 +776,6 @@ mod tests {
             let cands = dg.ghost_candidates();
             assert!(!cands.is_empty(), "RMAT must surface hub targets");
             assert!(cands.windows(2).all(|w| w[0].1 >= w[1].1), "descending by count");
-            let topk = dg.ghost_topk(4);
-            assert_eq!(topk.len(), 4.min(cands.len()));
         });
     }
 

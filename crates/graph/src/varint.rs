@@ -19,7 +19,7 @@ pub const MAX_VARINT_BYTES: usize = 10;
 
 /// Append the LEB128 encoding of `v` to `out`.
 #[inline]
-pub fn encode_u64(mut v: u64, out: &mut Vec<u8>) {
+fn encode_u64(mut v: u64, out: &mut Vec<u8>) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -37,7 +37,7 @@ pub fn encode_u64(mut v: u64, out: &mut Vec<u8>) {
 /// the byte pool is corrupt, and the storage layer below already CRC-guards
 /// against silent corruption, so this is a programming error, not data.
 #[inline]
-pub fn decode_u64(buf: &[u8], pos: &mut usize) -> u64 {
+fn decode_u64(buf: &[u8], pos: &mut usize) -> u64 {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {

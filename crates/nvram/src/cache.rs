@@ -21,7 +21,7 @@ use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use havoq_util::crc::crc32;
 use havoq_util::FxHashMap;
@@ -778,12 +778,6 @@ impl PageCache {
         &self.core.device
     }
 
-    /// Total frames across shards — always equals the configured
-    /// `capacity_pages` (remainders are distributed, not dropped).
-    pub fn capacity_pages(&self) -> usize {
-        self.core.shards.iter().map(|s| s.m.lock().unwrap().capacity).sum()
-    }
-
     /// POSIX-like positional read through the cache, with sequential
     /// readahead on misses (inline or background per [`IoConfig`]).
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) {
@@ -1006,20 +1000,12 @@ impl CacheStatsSnapshot {
             self.hits as f64 / self.accesses() as f64
         }
     }
-
-    /// Caller time blocked on I/O, as a duration.
-    pub fn io_stall(&self) -> Duration {
-        Duration::from_nanos(self.io_stall_ns)
-    }
-
-    /// Caller time spent on inline dirty-victim writes, as a duration.
-    pub fn evict_stall(&self) -> Duration {
-        Duration::from_nanos(self.evict_stall_ns)
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::device::{DeviceProfile, MemDevice, SimNvram};
 
@@ -1275,9 +1261,13 @@ mod tests {
                 ..PageCacheConfig::default()
             },
         );
-        assert_eq!(c.capacity_pages(), 129);
+        // total frames across shards equal the configured capacity
+        let frames = |c: &PageCache| -> usize {
+            c.core.shards.iter().map(|s| s.m.lock().unwrap().capacity).sum()
+        };
+        assert_eq!(frames(&c), 129);
         let (_dev2, c2) = cache(8, 64);
-        assert_eq!(c2.capacity_pages(), 8);
+        assert_eq!(frames(&c2), 8);
     }
 
     #[test]
@@ -1353,10 +1343,7 @@ mod tests {
         }
         let s = c.stats();
         assert!(s.writebacks > 0, "{s:?}");
-        assert!(
-            s.evict_stall() >= Duration::from_micros(50),
-            "inline victim writes must be timed: {s:?}"
-        );
+        assert!(s.evict_stall_ns >= 50_000, "inline victim writes must be timed: {s:?}");
     }
 
     #[test]

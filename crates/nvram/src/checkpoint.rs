@@ -21,8 +21,8 @@
 //! [`CheckpointStore::read_epoch`] rejects the blob (`Torn`). The FNV-1a
 //! checksum additionally rejects blobs whose payload bytes were damaged.
 //! Recovery then walks epochs downward via
-//! [`CheckpointStore::latest_complete_epoch`] and the world agrees on the
-//! minimum across ranks.
+//! [`CheckpointStore::latest_complete_epoch_with_fallbacks`] and the world
+//! agrees on the minimum across ranks.
 //!
 //! Only the byte framing is durable; the epoch → offset directory is kept
 //! in memory, standing in for the checkpoint-directory file a real
@@ -112,16 +112,6 @@ impl CheckpointStore {
 
     pub fn cache(&self) -> &Arc<PageCache> {
         &self.cache
-    }
-
-    /// Complete checkpoint epochs committed (torn writes excluded).
-    pub fn epochs_written(&self) -> u64 {
-        self.epochs_written
-    }
-
-    /// Writes deliberately left without a commit marker.
-    pub fn torn_writes(&self) -> u64 {
-        self.torn_writes
     }
 
     /// Total bytes handed to the device (headers and markers included).
@@ -216,15 +206,12 @@ impl CheckpointStore {
     /// The highest epoch whose blob validates end to end, or `None`. Walks
     /// the directory downward so torn or damaged tails are skipped — this
     /// is each rank's vote in the collective restore-point agreement.
-    pub fn latest_complete_epoch(&self) -> Option<u64> {
-        self.latest_complete_epoch_with_fallbacks().0
-    }
-
-    /// Like [`Self::latest_complete_epoch`], also reporting how many
-    /// *committed but corrupt* epochs (commit marker present, payload
-    /// checksum failed) were skipped on the way down. Such a blob is
-    /// treated exactly like a torn one — skipped, and the world restores
-    /// from the next-oldest intact epoch — but it is counted separately:
+    ///
+    /// Also reports how many *committed but corrupt* epochs (commit marker
+    /// present, payload checksum failed) were skipped on the way down. Such
+    /// a blob is treated exactly like a torn one — skipped, and the world
+    /// restores from the next-oldest intact epoch — but it is counted
+    /// separately:
     /// torn blobs are expected debris of an injected crash, while a
     /// checksum mismatch means silent storage corruption was caught.
     pub fn latest_complete_epoch_with_fallbacks(&self) -> (Option<u64>, u64) {
@@ -263,7 +250,8 @@ impl CheckpointStore {
     /// Drop every epoch above `epoch` from the directory. Recovery calls
     /// this after rewinding: blobs past the restore point may mix
     /// incarnations (a complete blob from before the crash, the torn blob
-    /// itself) and must never satisfy a later `latest_complete_epoch`.
+    /// itself) and must never satisfy a later
+    /// `latest_complete_epoch_with_fallbacks`.
     pub fn truncate_above(&mut self, epoch: u64) {
         self.dir.retain(|&e, _| e <= epoch);
     }
@@ -302,9 +290,9 @@ mod tests {
         for e in 0..5 {
             assert_eq!(st.read_epoch(e).unwrap(), payload(e, 100 + 37 * e as usize));
         }
-        assert_eq!(st.latest_complete_epoch(), Some(4));
-        assert_eq!(st.epochs_written(), 5);
-        assert_eq!(st.torn_writes(), 0);
+        assert_eq!(st.latest_complete_epoch_with_fallbacks().0, Some(4));
+        assert_eq!(st.epochs_written, 5);
+        assert_eq!(st.torn_writes, 0);
     }
 
     #[test]
@@ -321,28 +309,32 @@ mod tests {
         st.write_epoch(1, &payload(1, 300));
         st.write_epoch_torn(2, &payload(2, 300));
         assert_eq!(st.read_epoch(2), Err(CheckpointError::Torn));
-        assert_eq!(st.latest_complete_epoch(), Some(1));
-        assert_eq!(st.torn_writes(), 1);
+        assert_eq!(st.latest_complete_epoch_with_fallbacks().0, Some(1));
+        assert_eq!(st.torn_writes, 1);
         // the retry after restore commits the epoch for real
         st.write_epoch(2, &payload(2, 300));
         assert_eq!(st.read_epoch(2).unwrap(), payload(2, 300));
-        assert_eq!(st.latest_complete_epoch(), Some(2));
+        assert_eq!(st.latest_complete_epoch_with_fallbacks().0, Some(2));
     }
 
     #[test]
     fn truncate_above_hides_stale_completes() {
         // crash at epoch 2 after epoch 2 was once complete (second
         // incarnation): without truncation the stale complete blob would
-        // win latest_complete_epoch and mix incarnations.
+        // win latest_complete_epoch_with_fallbacks and mix incarnations.
         let mut st = CheckpointStore::new(cache(8));
         st.write_epoch(0, &payload(0, 64));
         st.write_epoch(1, &payload(1, 64));
         st.write_epoch(2, &payload(2, 64));
         st.truncate_above(1); // restore to epoch 1
-        assert_eq!(st.latest_complete_epoch(), Some(1));
+        assert_eq!(st.latest_complete_epoch_with_fallbacks().0, Some(1));
         assert_eq!(st.read_epoch(2), Err(CheckpointError::UnknownEpoch));
         st.write_epoch_torn(2, &payload(2, 64));
-        assert_eq!(st.latest_complete_epoch(), Some(1), "torn retry must not resurface");
+        assert_eq!(
+            st.latest_complete_epoch_with_fallbacks().0,
+            Some(1),
+            "torn retry must not resurface"
+        );
     }
 
     #[test]

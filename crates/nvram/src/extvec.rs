@@ -159,7 +159,7 @@ impl<T: Pod> ExternalVec<T> {
     }
 
     /// Bulk-write `data` at `start`.
-    pub fn write_range(&self, start: usize, data: &[T]) {
+    fn write_range(&self, start: usize, data: &[T]) {
         assert!(start + data.len() <= self.len, "range out of bounds");
         if data.is_empty() {
             return;

@@ -229,21 +229,6 @@ pub struct IoStatsSnapshot {
     pub service_ops: u64,
 }
 
-impl IoStatsSnapshot {
-    /// Mean queue depth observed at submission time.
-    pub fn avg_queue_depth(&self) -> f64 {
-        self.depth_hist.mean()
-    }
-
-    /// Mean background service time per request.
-    pub fn avg_service(&self) -> Duration {
-        self.service_ns
-            .checked_div(self.service_ops)
-            .map(Duration::from_nanos)
-            .unwrap_or(Duration::ZERO)
-    }
-}
-
 /// Ticket for one registered eviction victim.
 #[derive(Debug)]
 pub(crate) struct PendingWriteback {
@@ -463,7 +448,7 @@ mod tests {
         assert_eq!(s.outstanding, 0);
         assert_eq!(s.peak_outstanding, 2);
         assert_eq!(s.depth_hist.count(), 2);
-        assert!(s.avg_queue_depth() > 0.0);
+        assert!(s.depth_hist.mean() > 0.0);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! - [`LockedSlots`]: a view of a `&mut [T]` paired with one bit lock per
 //!   slot; workers reach a slot only through `with`, under its lock.
 //! - [`PerWorker`]: cache-padded per-worker cells (send shards, stat
-//!   counters), filled by [`WorkerPool::fan_out`] — worker `w` writes cell
-//!   `w`, then the coordinator absorbs the cells in worker order.
+//!   counters), filled by [`WorkerPool::fan_out_blocks`] — worker `w`
+//!   writes cell `w`, then the coordinator absorbs the cells in worker
+//!   order.
 //!
 //! All `unsafe` of the intra-rank parallel paths lives in this file; the
 //! traversal core (`havoq-core`) calls only the safe entry points above.
@@ -40,9 +41,10 @@ pub struct CachePadded<T>(pub T);
 ///
 /// - visited/dirty set: [`AtomicBitVec::test_and_set`] returns whether the
 ///   bit was already set, so "first caller wins" races resolve atomically;
-/// - one-bit spinlocks: [`AtomicBitVec::lock`] spins until it wins the
-///   bit, [`AtomicBitVec::unlock`] releases it. Critical sections guarded
-///   this way must be short (a slot copy or merge), never I/O.
+/// - one-bit spinlocks behind [`LockedSlots`]: a slot's bit is spun on
+///   until won, and released when the slot's closure returns or unwinds.
+///   Critical sections guarded this way must be short (a slot copy or
+///   merge), never I/O.
 pub struct AtomicBitVec {
     words: Vec<AtomicU64>,
     bits: usize,
@@ -90,7 +92,7 @@ impl AtomicBitVec {
 
     /// Spin until bit `i` is acquired (treats the bit as a spinlock).
     #[inline]
-    pub fn lock(&self, i: usize) {
+    fn lock(&self, i: usize) {
         while self.test_and_set(i) {
             std::hint::spin_loop();
         }
@@ -98,14 +100,8 @@ impl AtomicBitVec {
 
     /// Release the bit-spinlock `i`. Must pair with a prior [`Self::lock`].
     #[inline]
-    pub fn unlock(&self, i: usize) {
+    fn unlock(&self, i: usize) {
         self.clear(i);
-    }
-
-    /// Number of backing 64-bit words (`ceil(len / 64)`).
-    #[inline]
-    pub fn num_words(&self) -> usize {
-        self.words.len()
     }
 
     /// Read backing word `wi` (bit `i` lives in word `i / 64`).
@@ -136,7 +132,7 @@ impl AtomicBitVec {
 
     /// Visit the index of every set bit inside `range`, in increasing
     /// order, a word at a time.
-    pub fn for_each_set_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
+    fn for_each_set_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
         debug_assert!(range.end <= self.bits);
         for wi in range.start / 64..range.end.div_ceil(64) {
             let mut bits = self.words[wi].load(Ordering::Acquire);
@@ -213,7 +209,7 @@ impl<'a, T> LockedSlots<'a, T> {
 }
 
 /// One cache-padded cell per worker, written by worker `w` during a
-/// [`WorkerPool::fan_out`] and read by the coordinator afterwards.
+/// [`WorkerPool::fan_out_blocks`] and read by the coordinator afterwards.
 pub struct PerWorker<T> {
     cells: Vec<CachePadded<std::cell::UnsafeCell<T>>>,
 }
@@ -403,7 +399,7 @@ impl WorkerPool {
     /// whatever the workers staged reaches single-threaded code (ghost
     /// filter, mailbox) as one deterministic stream per thread count. A
     /// worker panic is re-raised before any cell is absorbed.
-    pub fn fan_out<T: Send>(
+    fn fan_out<T: Send>(
         &self,
         cells: &mut PerWorker<T>,
         work: impl Fn(usize, &mut T) + Sync,
@@ -424,7 +420,7 @@ impl WorkerPool {
         cells.iter_mut().for_each(absorb);
     }
 
-    /// [`Self::fan_out`] over a slice: workers claim blocks of `items` off
+    /// `fan_out` over a slice: workers claim blocks of `items` off
     /// a shared cursor and run `work(&mut cells[w], item)` on each. With no
     /// items nothing runs, `absorb` included.
     ///
@@ -504,7 +500,7 @@ mod tests {
     #[test]
     fn bitvec_word_level_ops() {
         let b = AtomicBitVec::new(130);
-        assert_eq!(b.num_words(), 3);
+        assert_eq!(b.words.len(), 3);
         b.or_word(1, 0b101);
         assert!(b.get(64) && !b.get(65) && b.get(66));
         assert_eq!(b.word(1), 0b101);

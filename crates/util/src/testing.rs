@@ -72,32 +72,6 @@ pub fn run_cases(cases: u64, f: impl Fn(&mut TestRng)) {
     }
 }
 
-/// Run a seeded simulation under each of `seeds`, in order, and stop at
-/// the first failing seed: the closure is re-run once under that seed
-/// alone to tell a deterministic failure from leakage out of an earlier
-/// case, the seed is reported, and the panic is re-raised. Nothing is
-/// shrunk.
-///
-/// Built for the fault-injection sweep — `f(seed)` typically runs a full
-/// traversal under a `FaultConfig` derived from the seed and asserts the
-/// result matches a fault-free baseline. Reproduce locally by calling
-/// `f(reported_seed)` directly.
-pub fn sweep_seeds(seeds: impl IntoIterator<Item = u64>, f: impl Fn(u64)) {
-    for (case, seed) in seeds.into_iter().enumerate() {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(seed)));
-        if let Err(e) = outcome {
-            let confirm = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(seed)));
-            let verdict = if confirm.is_err() {
-                "failure reproduces under this seed alone"
-            } else {
-                "WARNING: failure did not reproduce on re-run; suspect cross-case state"
-            };
-            eprintln!("seed sweep failed at case {case} (seed {seed:#x}); {verdict}");
-            std::panic::resume_unwind(e);
-        }
-    }
-}
-
 /// The default seed set for fault sweeps: `count` seeds derived from a
 /// fixed base so every CI run exercises the same plans. Distinct from the
 /// `run_cases` seed stream on purpose — fault plans and data generation
@@ -161,30 +135,6 @@ mod tests {
             run_cases(5, |_rng| panic!("deliberate property failure"));
         });
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn sweep_seeds_runs_all_in_order() {
-        use std::sync::Mutex;
-        let seen = Mutex::new(Vec::new());
-        sweep_seeds([3u64, 1, 4, 1, 5], |s| seen.lock().unwrap().push(s));
-        assert_eq!(*seen.lock().unwrap(), vec![3, 1, 4, 1, 5]);
-    }
-
-    #[test]
-    fn sweep_seeds_stops_at_first_failing_seed() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let calls = AtomicU64::new(0);
-        let res = std::panic::catch_unwind(|| {
-            sweep_seeds([10u64, 20, 30], |s| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                assert_ne!(s, 20, "deliberate failure on seed 20");
-            });
-        });
-        assert!(res.is_err());
-        // seed 10 passes, seed 20 fails and is re-run once to confirm,
-        // seed 30 never runs
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -1,4 +1,9 @@
-//! The paper's evaluation as one table of machine-independent counters.
+//! The paper's evaluation as one table of counters.
+//!
+//! ```bash
+//! cargo run --release --example paper_rows          # the table and its shapes
+//! cargo test --release --example paper_rows         # the shape checks' own tests
+//! ```
 //!
 //! Each entry of `ROWS` is one configuration — figure, generator, scale,
 //! ranks, routing topology, partitioning, ghosts per partition, kernel.
@@ -7,13 +12,24 @@
 //! `paper_rows.csv` under `$HAVOQ_RESULTS` (default `results/`); counters
 //! are named `kernel.counter`. No column is wall-clock: on a host whose
 //! ranks are threads that measures total work, and `benchmark/` owns it.
-//! After the last row the binary checks the paper's shapes
+//!
+//! Counters count work, not time, but not all of them repeat. An
+//! asynchronous BFS at p > 1 relaxes a vertex as often as the schedule lets
+//! a longer path arrive first, so its visitor, payload, ghost, wire-byte,
+//! wave, receive-imbalance and cache counters differ from run to run. The
+//! p = 1 rows, the world-free models (census, partition, rounds), the
+//! k-core, triangle and wedge rows, and every BFS depth, `level_digest`,
+//! storage imbalance and compression figure repeat exactly.
+//!
+//! After the last row the example checks the paper's shapes
 //! (`check_shapes`) and exits non-zero if one fails. It takes no
 //! arguments. DESIGN.md §3 maps each figure to its figure id here.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use havoq_bench::{csv_row, Experiment};
 use havoq_comm::{CommWorld, RankCtx, TopologyKind};
 use havoq_core::algorithms::bfs::{bfs, level_digest, BfsConfig};
 use havoq_core::algorithms::kcore::{kcore, KCoreConfig};
@@ -547,10 +563,17 @@ struct Line {
 impl Line {
     fn fields(&self) -> [String; 9] {
         let (r, v) = (&self.row, self.value);
-        let value = if v.fract() == 0.0 { format!("{v:.0}") } else { format!("{v:.4}") };
-        let topology = format!("{:?}", r.topology).to_lowercase();
-        let (gen, part) = (r.gen.label(), r.part.label());
-        csv_row![r.figure, gen, r.scale, r.p, topology, part, r.ghosts, self.counter, value]
+        [
+            r.figure.to_string(),
+            r.gen.label(),
+            r.scale.to_string(),
+            r.p.to_string(),
+            format!("{:?}", r.topology).to_lowercase(),
+            r.part.label().to_string(),
+            r.ghosts.to_string(),
+            self.counter.clone(),
+            if v.fract() == 0.0 { format!("{v:.0}") } else { format!("{v:.4}") },
+        ]
     }
 }
 
@@ -643,21 +666,40 @@ fn check_shapes(lines: &[Line]) -> Vec<String> {
         .concat()
 }
 
+/// Print a right-aligned table row of width-14 columns.
+fn print_row(fields: &[String]) {
+    let cols: Vec<String> = fields.iter().map(|c| format!("{c:>14}")).collect();
+    println!("{}", cols.join(" "));
+}
+
 fn main() -> ExitCode {
-    let banner =
-        "The paper's figures as machine-independent counters, one line per row and counter";
-    let mut exp = Experiment::begin(&[banner], "paper_rows.csv", &COLUMNS);
+    println!("The paper's figures as counters, one line per row and counter");
+    println!("(asynchronous BFS counters at p > 1 vary with the schedule)");
+    println!();
+    print_row(&COLUMNS.map(String::from));
+    println!("{}", "-".repeat(15 * COLUMNS.len()));
+    let dir =
+        std::env::var("HAVOQ_RESULTS").map_or_else(|_| PathBuf::from("results"), PathBuf::from);
+    std::fs::create_dir_all(&dir).expect("create results dir");
+    let path = dir.join("paper_rows.csv");
+    let mut csv = BufWriter::new(File::create(&path).expect("create csv"));
+    writeln!(csv, "{}", COLUMNS.join(",")).expect("write csv");
     let mut lines = Vec::new();
     for row in ROWS {
         for (counter, value) in run(row) {
             let counter = format!("{}.{counter}", row.kernel.label());
             let line = Line { row: *row, counter, value };
-            exp.row(&line.fields());
+            let fields = line.fields();
+            print_row(&fields);
+            writeln!(csv, "{}", fields.join(",")).expect("write csv");
             lines.push(line);
         }
     }
+    csv.flush().expect("flush csv");
+    eprintln!("[csv] wrote {}", path.display());
     let failed = check_shapes(&lines);
-    exp.finish(&["Shapes: Fig. 4, Figs. 2/12, Fig. 13, Section VI-D, fig08 compression."]);
+    println!();
+    println!("Shapes: Fig. 4, Figs. 2/12, Fig. 13, Section VI-D, fig08 compression.");
     for f in &failed {
         eprintln!("shape failed: {f}");
     }

@@ -37,8 +37,9 @@
 //! assert!(result[0].visited_count > 0);
 //! ```
 //!
-//! See `examples/` for larger scenarios and `crates/bench/src/bin/` for the
-//! binaries that regenerate every figure and table of the paper.
+//! See `examples/` for larger scenarios, `examples/paper_rows.rs` for the
+//! paper's figures as one table of counters, and `benchmark/` for the
+//! timed Graph500 and serving workloads.
 
 #![forbid(unsafe_code)]
 

@@ -419,6 +419,7 @@ pub struct DirFp {
     pub levels: Vec<(u64, u64)>,
     pub parents: Vec<(u64, u64)>,
     pub visited: u64,
+    pub traversed: u64,
     pub max_level: u64,
     pub edges_inspected: u64,
     /// Per-level direction labels, e.g. `["top", "bottom", "top"]`.
@@ -613,6 +614,7 @@ impl RankRun<'_> {
                     levels: self.gather(|li| run.result.local_state[li].length),
                     parents: self.gather(|li| run.result.local_state[li].parent),
                     visited: run.result.visited_count,
+                    traversed: run.result.traversed_edges,
                     max_level: run.result.max_level,
                     edges_inspected: run.edges_inspected,
                     schedule: run.trace.iter().map(|t| t.dir.label()).collect(),
@@ -751,7 +753,8 @@ pub enum Compare {
     None,
     /// Bit-identical fingerprints.
     Equal,
-    /// BFS levels, visited count and depth of the first query.
+    /// BFS levels, visited count, traversed edges and depth of the first
+    /// query.
     Levels,
     /// Per-query visited count, traversed edges and depth.
     Aggregates,
@@ -764,12 +767,15 @@ impl Compare {
     /// The part of `fp` this comparison looks at.
     pub fn project(self, fp: &Fingerprint) -> Fingerprint {
         use Fingerprint as F;
-        let levels =
-            |visited, depth, levels: &Vec<_>| F::Queries(vec![(visited, 0, depth, levels.clone())]);
+        let levels = |visited, traversed, depth, levels: &Vec<_>| {
+            F::Queries(vec![(visited, traversed, depth, levels.clone())])
+        };
         match (self, fp) {
             (Compare::None | Compare::Equal, _) | (Compare::Reach, F::Reach(..)) => fp.clone(),
-            (Compare::Levels, F::Direction(d)) => levels(d.visited, d.max_level, &d.levels),
-            (Compare::Levels, F::Queries(q)) => levels(q[0].0, q[0].2, &q[0].3),
+            (Compare::Levels, F::Direction(d)) => {
+                levels(d.visited, d.traversed, d.max_level, &d.levels)
+            }
+            (Compare::Levels, F::Queries(q)) => levels(q[0].0, q[0].1, q[0].2, &q[0].3),
             (Compare::Aggregates, F::Queries(q)) => {
                 F::Queries(q.iter().map(|&(v, t, d, _)| (v, t, d, Vec::new())).collect())
             }
@@ -815,8 +821,9 @@ pub enum Check {
     EveryCellCheckpointed,
     /// Per cell: one crash and one checksum fallback.
     OneFallback,
-    /// Forced top-down stays top-down; auto goes bottom-up and inspects no
-    /// more edges than top-down in the same cell.
+    /// Forced top-down stays top-down; auto goes bottom-up and inspects at
+    /// most a third of the edges top-down inspects in the same cell (11.4x
+    /// fewer on the sweep graph).
     AutoPays,
     /// Direction parents agree across modes and threads at each p.
     ParentsAgree,
@@ -904,7 +911,8 @@ impl Check {
                     let (_, t) = dirs()
                         .find(|(o, _)| **o == Cell { engine: top, ..*c })
                         .expect("top-down twin");
-                    assert!(d.edges_inspected <= t.edges_inspected, "{c:?}: auto inspected more");
+                    let (auto, top) = (d.edges_inspected, t.edges_inspected);
+                    assert!(3 * auto <= top, "{c:?}: auto inspected {auto}, top-down {top}");
                 }
             }
             Check::ParentsAgree => {

@@ -657,7 +657,9 @@ fn collect_adjacency_view(g: &DistGraph) -> Vec<(u64, Vec<u64>, u64, Vec<(u64, O
 
 /// The admission queue's scheduling invariants under arbitrary arrival
 /// streams, batch capacities, backlog bounds, shed policies, deadlines
-/// and service times, driven by the same event-fed loop `qps_serve` uses:
+/// and service times, driven by an event-fed serving loop that offers each
+/// arrival only once the event clock reaches it (an arrival that lands
+/// during a batch's service is offered when that service completes):
 ///
 /// - the event clock never runs backwards;
 /// - service is FIFO — served arrival timestamps are globally
@@ -668,7 +670,11 @@ fn collect_adjacency_view(g: &DistGraph) -> Vec<(u64, Vec<u64>, u64, Vec<(u64, O
 /// - conservation at every quiescent point: offered == served + shed +
 ///   still-pending;
 /// - `peak_backlog` equals the externally observed maximum and never
-///   exceeds the configured bound.
+///   exceeds the configured bound;
+/// - with backlog B and capacity C, p99 latency is at most
+///   max(B, ⌈B/C⌉ + 1) times the worst batch service: a query waits out
+///   the service in progress when it arrives, then at most ⌈B/C⌉ batches
+///   drain the queue ahead of it and itself.
 #[test]
 fn admission_queue_schedule_invariants_under_random_streams() {
     use havoq_core::batch::percentile_ns;
@@ -697,6 +703,7 @@ fn admission_queue_schedule_invariants_under_random_streams() {
         let mut observed_peak = 0usize;
         let mut served_ats: Vec<u64> = Vec::new();
         let mut expected_latencies: Vec<u64> = Vec::new();
+        let mut worst_service = 0u64;
         let mut last_clock = aq.clock_ns();
         loop {
             while next < stream.len() && stream[next].at_ns <= aq.clock_ns() {
@@ -717,6 +724,7 @@ fn admission_queue_schedule_invariants_under_random_streams() {
             let start_clock = aq.clock_ns();
             assert!(start_clock >= last_clock, "clock ran backwards at batch start");
             let service = if admitted.is_empty() { 0 } else { 1 + rng.below(600) };
+            worst_service = worst_service.max(service);
             for pair in admitted.windows(2) {
                 assert!(pair[0].at_ns <= pair[1].at_ns, "batch not in FIFO order");
             }
@@ -744,6 +752,13 @@ fn admission_queue_schedule_invariants_under_random_streams() {
         assert_eq!(aq.peak_backlog(), observed_peak, "peak_backlog != observed maximum");
         if let Some(b) = backlog {
             assert!(aq.peak_backlog() <= b, "backlog bound exceeded");
+            let ceiling = b.max(b.div_ceil(capacity) + 1) as u64 * worst_service;
+            let p99 = percentile_ns(aq.latencies_ns(), 99);
+            assert!(
+                p99 <= ceiling,
+                "p99 {p99} above the latency ceiling {ceiling} (backlog {b}, capacity \
+                 {capacity}, worst service {worst_service}, policy {policy:?})"
+            );
         }
         assert_eq!(aq.offered(), stream.len() as u64, "offers lost");
         assert!(percentile_ns(aq.latencies_ns(), 100) >= percentile_ns(aq.latencies_ns(), 50));

@@ -23,7 +23,7 @@ use havoq_core::algorithms::bfs::BfsVisitor;
 use havoq_core::algorithms::cc::CcVisitor;
 use havoq_core::algorithms::kcore::KCoreVisitor;
 use havoq_core::algorithms::sssp::SsspVisitor;
-use havoq_core::algorithms::triangle::{SubsetTriangleVisitor, TriangleVisitor};
+use havoq_core::algorithms::triangle::TriangleVisitor;
 use havoq_core::algorithms::wedge::WedgeVisitor;
 use havoq_graph::types::VertexId;
 use havoq_util::testing::{run_cases, TestRng};
@@ -114,29 +114,6 @@ fn triangle_visitor_roundtrips_including_extremes() {
         let buf = encode_exact(&v);
         let d = TriangleVisitor::decode(&buf, &());
         assert_eq!((d.vertex, d.second, d.third), (v.vertex, v.second, v.third));
-        assert_eq!(encode_exact(&d), buf);
-    });
-}
-
-/// The subset visitor's wire record is exactly the inner triangle visitor;
-/// the subset table is reattached from the decode context and never crosses
-/// the wire. Byte roundtrip: decode an arbitrary inner record, re-encode.
-#[test]
-fn subset_triangle_visitor_byte_roundtrips() {
-    run_cases(256, |rng: &mut TestRng| {
-        let inner = TriangleVisitor {
-            vertex: VertexId(gen_u64(rng)),
-            second: gen_u64(rng),
-            third: gen_u64(rng),
-        };
-        let buf = encode_exact(&inner);
-        let subset = std::sync::Arc::new(vec![0u64, 3, 7]);
-        let d = SubsetTriangleVisitor::decode(&buf, &subset);
-        assert_eq!(
-            SubsetTriangleVisitor::WIRE_SIZE,
-            TriangleVisitor::WIRE_SIZE,
-            "subset table must not widen the wire record"
-        );
         assert_eq!(encode_exact(&d), buf);
     });
 }
